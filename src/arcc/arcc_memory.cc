@@ -104,8 +104,52 @@ bootMode(SchemeKind scheme)
 
 } // anonymous namespace
 
+MemoryWorkspace &
+MemoryWorkspace::forThisThread()
+{
+    static thread_local MemoryWorkspace ws;
+    return ws;
+}
+
+const FunctionalConfig &
+ArccMemory::validated(const FunctionalConfig &c)
+{
+    // A zero rank, bank, row or page count is an empty memory (no
+    // address, no page); channels and devices divide the geometry.
+    const struct
+    {
+        const char *field;
+        int value, min;
+    } counts[] = {{"channels", c.channels, 1},
+                  {"ranksPerChannel", c.ranksPerChannel, 0},
+                  {"devicesPerRank", c.devicesPerRank, 1},
+                  {"banks", c.banks, 0},
+                  {"rows", c.rows, 0},
+                  {"pagesPerRow", c.pagesPerRow, 0}};
+    for (const auto &count : counts)
+        if (count.value < count.min)
+            fatal("ArccMemory: %s = %d, need at least %d", count.field,
+                  count.value, count.min);
+    // The page table only covers whole pages: a truncated tail would
+    // hold addresses no page mode governs.
+    if (c.capacity() % kPageBytes != 0)
+        fatal("ArccMemory: capacity %llu B (channels %d x %d lines/row) "
+              "is not a whole number of %llu B pages",
+              static_cast<unsigned long long>(c.capacity()), c.channels,
+              c.linesPerRow(), static_cast<unsigned long long>(kPageBytes));
+    // The rule AddressMap enforces: every row slice holds whole lines
+    // of whole pages.
+    if (c.pagesPerRow * kLinesPerPage % c.channels != 0)
+        fatal("ArccMemory: pagesPerRow = %d (%llu lines) does not split "
+              "over channels = %d",
+              c.pagesPerRow,
+              static_cast<unsigned long long>(c.pagesPerRow * kLinesPerPage),
+              c.channels);
+    return c;
+}
+
 ArccMemory::ArccMemory(const FunctionalConfig &config)
-    : config_(config),
+    : config_(validated(config)),
       pageTable_(config.pages(), bootMode(config.scheme))
 {
     switch (config_.scheme) {
@@ -157,11 +201,13 @@ ArccMemory::ArccMemory(const FunctionalConfig &config)
     if (upgraded2Codec_)
         slotBytes_ = std::max(slotBytes_, upgraded2Codec_->sliceBytes());
 
-    std::size_t slots = static_cast<std::size_t>(config_.banks) *
-                        config_.rows * config_.linesPerRow();
+    linesPerRow_ = config_.linesPerRow();
+    deviceStride_ = static_cast<std::size_t>(config_.banks) * config_.rows *
+                    linesPerRow_ * slotBytes_;
     storage_.assign(static_cast<std::size_t>(config_.channels) *
-                        config_.ranksPerChannel * config_.devicesPerRank,
-                    std::vector<std::uint8_t>(slots * slotBytes_, 0));
+                        config_.ranksPerChannel * config_.devicesPerRank *
+                        deviceStride_,
+                    0);
     spared_.assign(static_cast<std::size_t>(config_.channels) *
                        config_.ranksPerChannel,
                    {});
@@ -186,8 +232,8 @@ ArccMemory::locOf(std::uint64_t addr) const
     Loc loc;
     loc.channel = static_cast<int>(line % config_.channels);
     line /= config_.channels;
-    loc.col = static_cast<int>(line % config_.linesPerRow());
-    line /= config_.linesPerRow();
+    loc.col = static_cast<int>(line % linesPerRow_);
+    line /= linesPerRow_;
     loc.bank = static_cast<int>(line % config_.banks);
     line /= config_.banks;
     loc.rank = static_cast<int>(line % config_.ranksPerChannel);
@@ -196,24 +242,33 @@ ArccMemory::locOf(std::uint64_t addr) const
     return loc;
 }
 
-std::size_t
-ArccMemory::slotOffset(const Loc &loc) const
+template <class Fn>
+void
+ArccMemory::forEachSubLine(std::uint64_t group_base, const LineCodec &codec,
+                           Fn &&fn) const
 {
-    std::size_t slot =
-        (static_cast<std::size_t>(loc.bank) * config_.rows + loc.row) *
-            config_.linesPerRow() +
-        loc.col;
-    return slot * slotBytes_;
-}
-
-std::uint8_t *
-ArccMemory::slicePtr(int channel, int rank, int device, const Loc &loc)
-{
-    std::size_t dev_idx =
-        (static_cast<std::size_t>(channel) * config_.ranksPerChannel +
-         rank) * config_.devicesPerRank +
-        device;
-    return storage_[dev_idx].data() + slotOffset(loc);
+    // Sub-line s holds codec devices [s * dpr, (s + 1) * dpr): one
+    // address decode per sub-line, then a walk down its rank's rows.
+    const int dpr = config_.devicesPerRank;
+    SubLine sl;
+    for (sl.first = 0; sl.first < codec.devices(); sl.first += dpr) {
+        sl.loc = locOf(group_base +
+                       static_cast<std::uint64_t>(sl.first / dpr) *
+                           kLineBytes);
+        sl.devices = std::min(dpr, codec.devices() - sl.first);
+        const std::size_t rank_row =
+            (static_cast<std::size_t>(sl.loc.channel) *
+                 config_.ranksPerChannel +
+             sl.loc.rank) *
+            dpr;
+        const std::size_t slot =
+            (static_cast<std::size_t>(sl.loc.bank) * config_.rows +
+             sl.loc.row) *
+                linesPerRow_ +
+            sl.loc.col;
+        sl.offset = rank_row * deviceStride_ + slot * slotBytes_;
+        fn(sl);
+    }
 }
 
 const LineCodec &
@@ -244,67 +299,63 @@ ArccMemory::groupBytes(PageMode mode) const
     return codecFor(mode).dataBytes();
 }
 
-void
-ArccMemory::applyOverlay(std::span<std::uint8_t> bytes, int channel,
-                         int rank, int device, const Loc &loc) const
+bool
+ArccMemory::covers(const FunctionalFault &f, const Loc &loc)
 {
-    for (const FunctionalFault &f : faults_) {
-        if (f.channel != channel || f.device != device)
-            continue;
-        if (f.scope != FaultScope::Lane && f.rank != rank)
-            continue;
-        bool match = false;
-        switch (f.scope) {
-          case FaultScope::Device:
-          case FaultScope::Lane:
-            match = true;
-            break;
-          case FaultScope::Bank:
-            match = loc.bank == f.bank;
-            break;
-          case FaultScope::Row:
-            match = loc.bank == f.bank &&
-                    loc.row == static_cast<std::uint32_t>(f.row);
-            break;
-          case FaultScope::Column:
-            match = loc.bank == f.bank && loc.col == f.col;
-            break;
-          case FaultScope::Cell:
-            match = loc.bank == f.bank &&
-                    loc.row == static_cast<std::uint32_t>(f.row) &&
-                    loc.col == f.col;
-            break;
+    if (f.channel != loc.channel)
+        return false;
+    if (f.scope != FaultScope::Lane && f.rank != loc.rank)
+        return false;
+    switch (f.scope) {
+      case FaultScope::Device:
+      case FaultScope::Lane:
+        return true;
+      case FaultScope::Bank:
+        return loc.bank == f.bank;
+      case FaultScope::Row:
+        return loc.bank == f.bank &&
+               loc.row == static_cast<std::uint32_t>(f.row);
+      case FaultScope::Column:
+        return loc.bank == f.bank && loc.col == f.col;
+      case FaultScope::Cell:
+        return loc.bank == f.bank &&
+               loc.row == static_cast<std::uint32_t>(f.row) &&
+               loc.col == f.col;
+    }
+    return false;
+}
+
+void
+ArccMemory::applyOverlay(std::span<std::uint8_t> bytes,
+                         const FunctionalFault &f, const Loc &loc)
+{
+    switch (f.kind) {
+      case FaultKind::StuckAt1:
+        for (auto &b : bytes)
+            b |= f.mask;
+        break;
+      case FaultKind::StuckAt0:
+        for (auto &b : bytes)
+            b &= static_cast<std::uint8_t>(~f.mask);
+        break;
+      case FaultKind::Corrupt: {
+        // Deterministic wrong data: the same garbage on every read
+        // of the same location, like a broken address decoder.
+        std::uint64_t z = (static_cast<std::uint64_t>(loc.channel) << 48) ^
+                          (static_cast<std::uint64_t>(loc.rank) << 40) ^
+                          (static_cast<std::uint64_t>(f.device) << 32) ^
+                          (static_cast<std::uint64_t>(loc.bank) << 24) ^
+                          (static_cast<std::uint64_t>(loc.row) << 12) ^
+                          static_cast<std::uint64_t>(loc.col);
+        z += 0x9e3779b97f4a7c15ULL;
+        for (std::size_t i = 0; i < bytes.size(); ++i) {
+            std::uint64_t x = z + i * 0xbf58476d1ce4e5b9ULL;
+            x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+            x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+            bytes[i] = static_cast<std::uint8_t>(x >> 56);
         }
-        if (!match)
-            continue;
-        switch (f.kind) {
-          case FaultKind::StuckAt1:
-            for (auto &b : bytes)
-                b |= f.mask;
-            break;
-          case FaultKind::StuckAt0:
-            for (auto &b : bytes)
-                b &= static_cast<std::uint8_t>(~f.mask);
-            break;
-          case FaultKind::Corrupt: {
-            // Deterministic wrong data: the same garbage on every read
-            // of the same location, like a broken address decoder.
-            std::uint64_t z = (static_cast<std::uint64_t>(channel) << 48) ^
-                              (static_cast<std::uint64_t>(rank) << 40) ^
-                              (static_cast<std::uint64_t>(device) << 32) ^
-                              (static_cast<std::uint64_t>(loc.bank) << 24) ^
-                              (static_cast<std::uint64_t>(loc.row) << 12) ^
-                              static_cast<std::uint64_t>(loc.col);
-            z += 0x9e3779b97f4a7c15ULL;
-            for (std::size_t i = 0; i < bytes.size(); ++i) {
-                std::uint64_t x = z + i * 0xbf58476d1ce4e5b9ULL;
-                x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-                x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-                bytes[i] = static_cast<std::uint8_t>(x >> 56);
-            }
-            break;
-          }
-        }
+        break;
+      }
     }
 }
 
@@ -313,25 +364,17 @@ ArccMemory::gatherGroupInto(std::uint64_t group_base, PageMode mode,
                             DeviceSlices &out)
 {
     const LineCodec &codec = codecFor(mode);
-    const int dpr = config_.devicesPerRank;
     const int slice = codec.sliceBytes();
     out.resize(codec.devices());
-
-    for (int d = 0; d < codec.devices(); ++d) {
-        int sub = d / dpr;
-        Loc loc = locOf(group_base + sub * kLineBytes);
-        std::uint8_t *p = slicePtr(loc.channel, loc.rank, d % dpr, loc);
-        out[d].assign(p, p + slice);
-        applyOverlay(out[d], loc.channel, loc.rank, d % dpr, loc);
-    }
-}
-
-DeviceSlices
-ArccMemory::gatherGroup(std::uint64_t group_base, PageMode mode)
-{
-    DeviceSlices slices;
-    gatherGroupInto(group_base, mode, slices);
-    return slices;
+    forEachSubLine(group_base, codec, [&](const SubLine &sl) {
+        const std::uint8_t *p = storage_.data() + sl.offset;
+        for (int d = 0; d < sl.devices; ++d, p += deviceStride_)
+            out[sl.first + d].assign(p, p + slice);
+        // Faults in list order, as if each device applied its own.
+        for (const FunctionalFault &f : faults_)
+            if (f.device < sl.devices && covers(f, sl.loc))
+                applyOverlay(out[sl.first + f.device], f, sl.loc);
+    });
 }
 
 void
@@ -339,56 +382,41 @@ ArccMemory::storeGroup(std::uint64_t group_base, PageMode mode,
                        const DeviceSlices &slices)
 {
     const LineCodec &codec = codecFor(mode);
-    const int dpr = config_.devicesPerRank;
     const int slice = codec.sliceBytes();
     ARCC_ASSERT(slices.size() ==
                 static_cast<std::size_t>(codec.devices()));
-
-    for (int d = 0; d < codec.devices(); ++d) {
-        int sub = d / dpr;
-        Loc loc = locOf(group_base + sub * kLineBytes);
-        std::uint8_t *p = slicePtr(loc.channel, loc.rank, d % dpr, loc);
-        std::memcpy(p, slices[d].data(), slice);
-    }
+    forEachSubLine(group_base, codec, [&](const SubLine &sl) {
+        std::uint8_t *p = storage_.data() + sl.offset;
+        for (int d = 0; d < sl.devices; ++d, p += deviceStride_)
+            std::memcpy(p, slices[sl.first + d].data(), slice);
+    });
 }
 
 void
 ArccMemory::erasedInto(std::uint64_t group_base, PageMode mode,
                        std::vector<int> &out) const
 {
-    const LineCodec &codec = codecFor(mode);
-    const int dpr = config_.devicesPerRank;
     out.clear();
-    for (int d = 0; d < codec.devices(); ++d) {
-        int sub = d / dpr;
-        Loc loc = locOf(group_base + sub * kLineBytes);
-        const auto &list = spared_[static_cast<std::size_t>(loc.channel) *
-                                       config_.ranksPerChannel +
-                                   loc.rank];
-        if (std::find(list.begin(), list.end(), d % dpr) != list.end())
-            out.push_back(d);
-    }
-}
-
-std::vector<int>
-ArccMemory::erasedFor(std::uint64_t group_base, PageMode mode) const
-{
-    std::vector<int> erased;
-    erasedInto(group_base, mode, erased);
-    return erased;
+    if (!anySpared_)
+        return;
+    forEachSubLine(group_base, codecFor(mode), [&](const SubLine &sl) {
+        const std::vector<int> &list =
+            sparedDevices(sl.loc.channel, sl.loc.rank);
+        for (int d = 0; d < sl.devices; ++d)
+            if (std::find(list.begin(), list.end(), d) != list.end())
+                out.push_back(sl.first + d);
+    });
 }
 
 void
-ArccMemory::readGroupInto(std::uint64_t group_base, PageMode mode,
-                          MemoryStats &stats, LineWorkspace &ws,
-                          ReadResult &out)
+ArccMemory::decodeSlicesInto(DeviceSlices &slices, PageMode mode,
+                             std::span<const int> erased,
+                             MemoryStats &stats, LineWorkspace &ws,
+                             ReadResult &out) const
 {
     const LineCodec &codec = codecFor(mode);
-    gatherGroupInto(group_base, mode, ws.slices);
-    erasedInto(group_base, mode, ws.erased);
-
-    out.data.resize(codec.dataBytes());
-    codec.decodeInto(ws.slices, out.data, ws.erased, ws, ws.dec);
+    out.data.assign(codec.dataBytes(), 0);
+    codec.decodeInto(slices, out.data, erased, ws, ws.dec);
     out.status = ws.dec.status;
     out.symbolsCorrected = ws.dec.symbolsCorrected;
     stats.deviceReads += codec.devices();
@@ -396,6 +424,16 @@ ArccMemory::readGroupInto(std::uint64_t group_base, PageMode mode,
         stats.corrected += ws.dec.symbolsCorrected;
     if (ws.dec.status == DecodeStatus::Detected)
         ++stats.dues;
+}
+
+void
+ArccMemory::readGroupInto(std::uint64_t group_base, PageMode mode,
+                          MemoryStats &stats, LineWorkspace &ws,
+                          ReadResult &out)
+{
+    gatherGroupInto(group_base, mode, ws.slices);
+    erasedInto(group_base, mode, ws.erased);
+    decodeSlicesInto(ws.slices, mode, ws.erased, stats, ws, out);
 }
 
 ReadResult
@@ -416,7 +454,9 @@ ArccMemory::read(std::uint64_t addr)
     std::uint64_t group = groupBytes(mode);
     std::uint64_t base = addr & ~(group - 1);
     ReadResult whole = readGroup(base, mode, stats_);
-    return extractLine(whole, addr, base);
+    ReadResult line;
+    extractLineInto(whole, addr, base, line);
+    return line;
 }
 
 std::vector<ReadResult>
@@ -429,12 +469,8 @@ std::vector<ReadResult>
 ArccMemory::accessBatch(std::span<const std::uint64_t> addrs,
                         MemoryStats &stats)
 {
-    // A function-local workspace would also do, but routing through
-    // the thread-default one means repeated batches reuse the same
-    // buffers.
-    static thread_local MemoryWorkspace scratch;
     std::vector<ReadResult> results;
-    accessBatch(addrs, stats, scratch, results);
+    accessBatch(addrs, stats, MemoryWorkspace::forThisThread(), results);
     return results;
 }
 
@@ -501,19 +537,14 @@ ArccMemory::decodeStagedGroup(std::size_t g, MemoryStats &stats,
                               MemoryWorkspace &ws)
 {
     const MemoryWorkspace::StagedGroup &sg = ws.groups[g];
-    const LineCodec &codec = codecFor(sg.mode);
-    erasedInto(sg.base, sg.mode, ws.line.erased);
-    ReadResult &out = ws.groupWhole[g];
-    out.data.resize(codec.dataBytes());
-    codec.decodeInto(ws.groupSlices[g], out.data, ws.line.erased,
-                     ws.line, ws.line.dec);
-    out.status = ws.line.dec.status;
-    out.symbolsCorrected = ws.line.dec.symbolsCorrected;
-    stats.deviceReads += codec.devices();
-    if (ws.line.dec.status == DecodeStatus::Corrected)
-        stats.corrected += ws.line.dec.symbolsCorrected;
-    if (ws.line.dec.status == DecodeStatus::Detected)
-        ++stats.dues;
+    // A group the screen flagged has no erased device: it would have
+    // been staged slow otherwise.
+    if (sg.slow)
+        erasedInto(sg.base, sg.mode, ws.line.erased);
+    else
+        ws.line.erased.clear();
+    decodeSlicesInto(ws.groupSlices[g], sg.mode, ws.line.erased, stats,
+                     ws.line, ws.groupWhole[g]);
 }
 
 void
@@ -587,15 +618,6 @@ ArccMemory::screenStagedGroups(MemoryStats &stats, MemoryWorkspace &ws)
     }
 }
 
-ReadResult
-ArccMemory::extractLine(const ReadResult &whole, std::uint64_t addr,
-                        std::uint64_t group_base)
-{
-    ReadResult res;
-    extractLineInto(whole, addr, group_base, res);
-    return res;
-}
-
 void
 ArccMemory::extractLineInto(const ReadResult &whole, std::uint64_t addr,
                             std::uint64_t group_base, ReadResult &out)
@@ -629,8 +651,7 @@ ArccMemory::writeGroup(std::uint64_t addr,
                        std::span<const std::uint8_t> data,
                        MemoryStats &stats)
 {
-    static thread_local MemoryWorkspace scratch;
-    writeGroup(addr, data, stats, scratch);
+    writeGroup(addr, data, stats, MemoryWorkspace::forThisThread());
 }
 
 void
@@ -656,24 +677,22 @@ ArccMemory::write(std::uint64_t addr, std::span<const std::uint8_t> data)
     ++stats_.writes;
     PageMode mode = pageTable_.mode(pageOf(addr));
     const LineCodec &codec = codecFor(mode);
-    std::uint64_t group = groupBytes(mode);
-    std::uint64_t base = addr & ~(group - 1);
+    std::uint64_t base = addr & ~(groupBytes(mode) - 1);
+    MemoryWorkspace &ws = MemoryWorkspace::forThisThread();
 
-    std::vector<std::uint8_t> buf;
-    if (subLines(mode) == 1) {
-        buf.assign(data.begin(), data.end());
-    } else {
+    std::span<const std::uint8_t> group = data;
+    if (subLines(mode) > 1) {
         // Read-modify-write: both (all) sub-lines of the group share
         // check symbols, so the whole group is re-encoded (this is why
         // the LLC evicts upgraded sub-lines together, Section 4.2.3).
-        ReadResult whole = readGroup(base, mode, stats_);
-        buf = std::move(whole.data);
+        readGroupInto(base, mode, stats_, ws.line, ws.whole);
         std::size_t off = static_cast<std::size_t>(addr - base) &
                           ~(kLineBytes - 1);
-        std::copy(data.begin(), data.end(), buf.begin() + off);
+        std::memcpy(ws.whole.data.data() + off, data.data(), kLineBytes);
+        group = ws.whole.data;
     }
-    DeviceSlices slices = codec.encode(buf);
-    storeGroup(base, mode, slices);
+    codec.encodeInto(group, ws.line.slices, ws.line);
+    storeGroup(base, mode, ws.line.slices);
     stats_.deviceWrites += codec.devices();
 }
 
@@ -691,13 +710,13 @@ ArccMemory::setPageMode(std::uint64_t page, PageMode mode)
 
     // Read the whole page under the old code (correcting what we can),
     // then re-encode under the new one.  Only this page is touched.
+    MemoryWorkspace &ws = MemoryWorkspace::forThisThread();
     std::uint64_t page_base = page * kPageBytes;
-    std::vector<std::uint8_t> content(kPageBytes);
+    ws.page.resize(kPageBytes);
     std::uint64_t old_group = groupBytes(old);
     for (std::uint64_t off = 0; off < kPageBytes; off += old_group) {
-        ReadResult r = readGroup(page_base + off, old, stats_);
-        std::copy(r.data.begin(), r.data.end(),
-                  content.begin() + off);
+        readGroupInto(page_base + off, old, stats_, ws.line, ws.whole);
+        std::memcpy(ws.page.data() + off, ws.whole.data.data(), old_group);
     }
 
     pageTable_.setMode(page, mode);
@@ -705,10 +724,9 @@ ArccMemory::setPageMode(std::uint64_t page, PageMode mode)
     const LineCodec &codec = codecFor(mode);
     std::uint64_t new_group = groupBytes(mode);
     for (std::uint64_t off = 0; off < kPageBytes; off += new_group) {
-        std::span<const std::uint8_t> chunk(content.data() + off,
-                                            new_group);
-        DeviceSlices slices = codec.encode(chunk);
-        storeGroup(page_base + off, mode, slices);
+        codec.encodeInto({ws.page.data() + off, new_group}, ws.line.slices,
+                         ws.line);
+        storeGroup(page_base + off, mode, ws.line.slices);
         stats_.deviceWrites += codec.devices();
     }
 }
@@ -719,12 +737,11 @@ ArccMemory::rawFill(std::uint64_t addr, std::uint8_t value)
     PageMode mode = pageTable_.mode(pageOf(addr));
     const LineCodec &codec = codecFor(mode);
     std::uint64_t base = addr & ~(groupBytes(mode) - 1);
-    const int dpr = config_.devicesPerRank;
-    for (int d = 0; d < codec.devices(); ++d) {
-        Loc loc = locOf(base + (d / dpr) * kLineBytes);
-        std::uint8_t *p = slicePtr(loc.channel, loc.rank, d % dpr, loc);
-        std::memset(p, value, codec.sliceBytes());
-    }
+    forEachSubLine(base, codec, [&](const SubLine &sl) {
+        std::uint8_t *p = storage_.data() + sl.offset;
+        for (int d = 0; d < sl.devices; ++d, p += deviceStride_)
+            std::memset(p, value, codec.sliceBytes());
+    });
 }
 
 bool
@@ -738,13 +755,11 @@ ArccMemory::rawCheck(std::uint64_t addr, std::uint8_t value,
                      LineWorkspace &ws)
 {
     PageMode mode = pageTable_.mode(pageOf(addr));
-    const LineCodec &codec = codecFor(mode);
     std::uint64_t base = addr & ~(groupBytes(mode) - 1);
     gatherGroupInto(base, mode, ws.slices);
     for (const auto &s : ws.slices)
-        for (std::size_t i = 0;
-             i < static_cast<std::size_t>(codec.sliceBytes()); ++i)
-            if (s[i] != value)
+        for (std::uint8_t b : s)
+            if (b != value)
                 return false;
     return true;
 }
@@ -764,13 +779,13 @@ ArccMemory::rawSnapshotInto(std::uint64_t addr,
     PageMode mode = pageTable_.mode(pageOf(addr));
     const LineCodec &codec = codecFor(mode);
     std::uint64_t base = addr & ~(groupBytes(mode) - 1);
-    const int dpr = config_.devicesPerRank;
-    out.clear();
-    for (int d = 0; d < codec.devices(); ++d) {
-        Loc loc = locOf(base + (d / dpr) * kLineBytes);
-        std::uint8_t *p = slicePtr(loc.channel, loc.rank, d % dpr, loc);
-        out.insert(out.end(), p, p + codec.sliceBytes());
-    }
+    const int slice = codec.sliceBytes();
+    out.resize(static_cast<std::size_t>(codec.devices()) * slice);
+    forEachSubLine(base, codec, [&](const SubLine &sl) {
+        const std::uint8_t *p = storage_.data() + sl.offset;
+        for (int d = 0; d < sl.devices; ++d, p += deviceStride_)
+            std::memcpy(out.data() + (sl.first + d) * slice, p, slice);
+    });
 }
 
 void
@@ -780,15 +795,14 @@ ArccMemory::rawRestore(std::uint64_t addr,
     PageMode mode = pageTable_.mode(pageOf(addr));
     const LineCodec &codec = codecFor(mode);
     std::uint64_t base = addr & ~(groupBytes(mode) - 1);
-    const int dpr = config_.devicesPerRank;
     const int slice = codec.sliceBytes();
     ARCC_ASSERT(snapshot.size() ==
                 static_cast<std::size_t>(codec.devices()) * slice);
-    for (int d = 0; d < codec.devices(); ++d) {
-        Loc loc = locOf(base + (d / dpr) * kLineBytes);
-        std::uint8_t *p = slicePtr(loc.channel, loc.rank, d % dpr, loc);
-        std::memcpy(p, snapshot.data() + d * slice, slice);
-    }
+    forEachSubLine(base, codec, [&](const SubLine &sl) {
+        std::uint8_t *p = storage_.data() + sl.offset;
+        for (int d = 0; d < sl.devices; ++d, p += deviceStride_)
+            std::memcpy(p, snapshot.data() + (sl.first + d) * slice, slice);
+    });
 }
 
 void
@@ -808,6 +822,7 @@ ArccMemory::spareDevice(int channel, int rank, int device)
                          rank];
     if (std::find(list.begin(), list.end(), device) == list.end())
         list.push_back(device);
+    anySpared_ = true;
 }
 
 const std::vector<int> &

@@ -128,14 +128,24 @@ struct ReadResult
 
 /**
  * Per-worker scratch for the allocation-free memory paths: the codec
- * workspace plus the decoded-group staging buffer.  One per shard /
+ * workspace plus the decoded-group staging buffers.  One per shard /
  * worker, reused across batches.
  */
 struct MemoryWorkspace
 {
     LineWorkspace line;
-    /** Whole-group decode staging for the single-group read path. */
+    /** Whole-group decode staging (the line write's read-modify-write
+     *  and setPageMode's re-read). */
     ReadResult whole;
+    /** One page of data between setPageMode's re-read and re-encode. */
+    std::vector<std::uint8_t> page;
+
+    /**
+     * The calling thread's default workspace, behind the ArccMemory
+     * entry points that take none (write, setPageMode, the owning
+     * accessBatch and writeGroup overloads).
+     */
+    static MemoryWorkspace &forThisThread();
 
     // ----- batch staging (ArccMemory::accessBatch) -------------------
     //
@@ -196,7 +206,10 @@ class ArccMemory
     explicit ArccMemory(const FunctionalConfig &config);
 
     // ----- normal data path -------------------------------------------
-    /** Write one 64B line (read-modify-write inside upgraded groups). */
+    /**
+     * Write one 64B line (read-modify-write inside upgraded groups).
+     * Allocation-free once the thread's MemoryWorkspace is warm.
+     */
     void write(std::uint64_t addr, std::span<const std::uint8_t> data);
 
     /** Read one 64B line through the page's current code. */
@@ -335,34 +348,51 @@ class ArccMemory
         std::uint32_t row;
     };
 
+    /**
+     * One 64B sub-line of an ECC group: codec devices
+     * [first, first + devices) live in the sub-line's rank, device
+     * first + d at storage_[offset + d * deviceStride_].  The last
+     * sub-line of a LOT-ECC 18-device group stores 8 of its rank's 9
+     * devices.
+     */
+    struct SubLine
+    {
+        Loc loc;
+        int first;
+        int devices;
+        std::size_t offset;
+    };
+
     Loc locOf(std::uint64_t addr) const;
-    std::size_t slotOffset(const Loc &loc) const;
-    std::uint8_t *slicePtr(int channel, int rank, int device,
-                           const Loc &loc);
+
+    /** Call fn(const SubLine &) for each sub-line of a group, in
+     *  device order: the whole address computation of a group walk. */
+    template <class Fn>
+    void forEachSubLine(std::uint64_t group_base, const LineCodec &codec,
+                        Fn &&fn) const;
 
     /** Codec serving a page mode. */
     const LineCodec &codecFor(PageMode mode) const;
     /** Number of 64B sub-lines per group in a mode. */
     int subLines(PageMode mode) const;
 
-    /** Gather (overlay-applied) slices for the group holding addr. */
-    DeviceSlices gatherGroup(std::uint64_t group_base, PageMode mode);
-    /** Gather into an existing buffer, reusing its storage. */
+    /** Gather (overlay-applied) slices for the group at group_base,
+     *  reusing the storage of `out`. */
     void gatherGroupInto(std::uint64_t group_base, PageMode mode,
                          DeviceSlices &out);
-    /** Store encoded slices for the group holding addr. */
+    /** Store encoded slices for the group at group_base. */
     void storeGroup(std::uint64_t group_base, PageMode mode,
                     const DeviceSlices &slices);
     /** Erased-device indices in codec ordering for a group. */
-    std::vector<int> erasedFor(std::uint64_t group_base,
-                               PageMode mode) const;
-    /** Erased-device indices into an existing buffer. */
     void erasedInto(std::uint64_t group_base, PageMode mode,
                     std::vector<int> &out) const;
 
-    /** Apply fault overlays to a slice just read. */
-    void applyOverlay(std::span<std::uint8_t> bytes, int channel,
-                      int rank, int device, const Loc &loc) const;
+    /** Whether fault f covers the slot at loc on its device (Lane
+     *  faults ignore the rank). */
+    static bool covers(const FunctionalFault &f, const Loc &loc);
+    /** Apply fault f's overlay to a slice it covers at loc. */
+    static void applyOverlay(std::span<std::uint8_t> bytes,
+                             const FunctionalFault &f, const Loc &loc);
 
     /** Read a full group, decoding; helper for read / RMW / convert.
      *  Decode-work counters land in `stats` (usually stats_). */
@@ -375,6 +405,12 @@ class ArccMemory
                        MemoryStats &stats, LineWorkspace &ws,
                        ReadResult &out);
 
+    /** Decode a gathered group into `out`; codewords the decode gives
+     *  up on read as zero.  Decode work is counted into `stats`. */
+    void decodeSlicesInto(DeviceSlices &slices, PageMode mode,
+                          std::span<const int> erased, MemoryStats &stats,
+                          LineWorkspace &ws, ReadResult &out) const;
+
     /** Pass 2 of accessBatch: SoA-screen runs of staged groups at
      *  the active SIMD tier, decode flagged / slow ones. */
     void screenStagedGroups(MemoryStats &stats, MemoryWorkspace &ws);
@@ -383,28 +419,33 @@ class ArccMemory
     void decodeStagedGroup(std::size_t g, MemoryStats &stats,
                            MemoryWorkspace &ws);
 
-    /** Slice one 64B line out of a decoded group's result. */
-    static ReadResult extractLine(const ReadResult &whole,
-                                  std::uint64_t addr,
-                                  std::uint64_t group_base);
-
-    /** extractLine into an existing result, reusing its buffer. */
+    /** Slice one 64B line out of a decoded group's result, reusing
+     *  the buffer of `out`. */
     static void extractLineInto(const ReadResult &whole,
                                 std::uint64_t addr,
                                 std::uint64_t group_base,
                                 ReadResult &out);
+
+    /** Fatal unless every address of the geometry has a page. */
+    static const FunctionalConfig &validated(const FunctionalConfig &c);
 
     FunctionalConfig config_;
     std::unique_ptr<LineCodec> relaxedCodec_;
     std::unique_ptr<LineCodec> upgradedCodec_;
     std::unique_ptr<LineCodec> upgraded2Codec_;
     int slotBytes_;
+    int linesPerRow_;
 
-    /** storage_[(channel * ranks + rank) * devices + device]. */
-    std::vector<std::vector<std::uint8_t>> storage_;
+    /** One row of slots per device, rows ordered
+     *  (channel * ranks + rank) * devices + device. */
+    std::vector<std::uint8_t> storage_;
+    /** Bytes per device row. */
+    std::size_t deviceStride_;
     std::vector<FunctionalFault> faults_;
     /** sparedDevices_[channel * ranks + rank]. */
     std::vector<std::vector<int>> spared_;
+    /** Whether any rank has a spared device (erasedInto's fast exit). */
+    bool anySpared_ = false;
 
     PageTable pageTable_;
     MemoryStats stats_;

@@ -15,6 +15,9 @@
  *
  *  - every GF multiply is a product-table load; scale-accumulate loops
  *    hoist one 256-byte MulRow per fixed multiplicand;
+ *  - encode for r <= 8 is a byte-at-a-time LFSR: the remainder lives
+ *    packed in one uint64_t and each data symbol xors in one entry
+ *    of a 256-entry table of scaled generators;
  *  - all scratch lives in the caller's RsWorkspace -- no heap traffic
  *    anywhere on the encode / syndrome / decode paths;
  *  - syndrome Horner chains are interleaved across j, so the r
@@ -147,6 +150,16 @@ ReedSolomon::ReedSolomon(int n, int k)
     genHigh_.resize(rr);
     for (int j = 0; j < rr; ++j)
         genHigh_[j] = gen_[rr - 1 - j];
+    if (rr <= kPackedChecks) {
+        remTable_.assign(GF256::kOrder, 0);
+        for (int c = 0; c < GF256::kOrder; ++c) {
+            const GF256::MulRow row =
+                GF256::mulRow(static_cast<std::uint8_t>(c));
+            for (int j = 0; j < rr; ++j)
+                remTable_[c] |= static_cast<std::uint64_t>(row(genHigh_[j]))
+                                << (8 * j);
+        }
+    }
 
     // One product-table row per syndrome root alpha^j, plus the roots
     // themselves for the SoA shuffle kernel.
@@ -199,6 +212,19 @@ ReedSolomon::encode(std::span<std::uint8_t> codeword) const
     // the parity.  Work in the "high power first" view, which matches
     // the array order directly.
     const int rr = r();
+    if (!remTable_.empty()) {
+        // The loop below with rem[j] packed into byte j: the shift is
+        // one right shift (bytes >= rr stay zero) and the scaled
+        // generator one table entry.
+        const std::uint64_t *table = remTable_.data();
+        std::uint64_t packed = 0;
+        for (int i = 0; i < k_; ++i)
+            packed = (packed >> 8) ^
+                     table[codeword[i] ^ static_cast<std::uint8_t>(packed)];
+        for (int j = 0; j < rr; ++j)
+            codeword[k_ + j] = static_cast<std::uint8_t>(packed >> (8 * j));
+        return;
+    }
     std::uint8_t rem[RsWorkspace::kMaxChecks];
     std::memset(rem, 0, rr);
     for (int i = 0; i < k_; ++i) {

@@ -117,7 +117,9 @@ class ReedSolomon
 
     /**
      * Encode in place: reads codeword[0..k), writes codeword[k..n).
-     * Allocation-free.
+     * Allocation-free; for r <= 8 (every library codec) a
+     * byte-at-a-time LFSR over a 256-entry table of packed
+     * remainders.
      * @param codeword buffer of at least n symbols.
      */
     void encode(std::span<std::uint8_t> codeword) const;
@@ -254,6 +256,13 @@ class ReedSolomon
     /** gen_ reversed (high-order first, monic lead dropped): the
      *  order encode's scale-accumulate walks it in. */
     std::vector<std::uint8_t> genHigh_;
+    /** Packed remainders for r <= kPackedChecks: entry c is
+     *  c * genHigh_ with coefficient j in byte j, so encode advances
+     *  the whole division remainder by one data symbol with one
+     *  load, one shift and one xor.  Empty for longer codes, which
+     *  keep the per-coefficient loop. */
+    std::vector<std::uint64_t> remTable_;
+    static constexpr int kPackedChecks = 8;
     /** Syndrome Horner multiplier rows: row j scales by alpha^j. */
     std::vector<const std::uint8_t *> syndRows_;
     /** The syndrome roots alpha^j themselves (SoA kernel input). */

@@ -3,8 +3,9 @@
  * Heap-allocation audits for the steady-state decode paths.
  *
  * The PR contract is that the ECC hot loops -- syndrome screens,
- * encodes, decodes, the scrub-style batch sweep, the VECC batch --
- * perform *zero* heap allocations once their workspaces are warm.
+ * encodes, decodes, the scrub-style batch sweep, line writes, the VECC
+ * batch -- perform *zero* heap allocations once their workspaces are
+ * warm.
  * This binary replaces the global operator new/delete with counting
  * wrappers and measures allocation deltas across the hot regions.
  *
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +24,7 @@
 #include <fstream>
 #include <new>
 #include <span>
+#include <string>
 #include <unistd.h>
 #include <vector>
 
@@ -276,6 +279,40 @@ TEST(AllocFree, ScrubStyleBatchSweepSteadyState)
     EXPECT_TRUE(ok);
     EXPECT_EQ(allocs, 0u)
         << "the batched sweep must be allocation-free in steady state";
+}
+
+TEST(AllocFree, LineWriteSteadyState)
+{
+    // Line writes: a relaxed page encodes the line directly, an
+    // upgraded page reads, decodes and re-encodes its whole group
+    // (read-modify-write) -- both through the thread's
+    // MemoryWorkspace, so neither touches the heap once warm.
+    ArccMemory mem(FunctionalConfig::arccSmall());
+    mem.setPageMode(1, PageMode::Relaxed);
+    ASSERT_EQ(mem.pageTable().mode(0), PageMode::Upgraded);
+
+    Rng rng(4);
+    std::vector<std::uint8_t> lines(kLinesPerPage * kLineBytes);
+    for (auto &b : lines)
+        b = static_cast<std::uint8_t>(rng.below(256));
+
+    for (std::uint64_t page : {0, 1}) {
+        SCOPED_TRACE("page " + std::to_string(page));
+        const std::uint64_t allocs = allocationsIn([&] {
+            for (std::uint64_t i = 0; i < kLinesPerPage; ++i)
+                mem.write(page * kPageBytes + i * kLineBytes,
+                          std::span<const std::uint8_t>(
+                              lines.data() + i * kLineBytes, kLineBytes));
+        });
+        EXPECT_EQ(allocs, 0u)
+            << "line writes must be allocation-free in steady state";
+        for (std::uint64_t i = 0; i < kLinesPerPage; ++i) {
+            const ReadResult r = mem.read(page * kPageBytes + i * kLineBytes);
+            EXPECT_EQ(r.status, DecodeStatus::Clean);
+            EXPECT_TRUE(std::equal(r.data.begin(), r.data.end(),
+                                   lines.begin() + i * kLineBytes));
+        }
+    }
 }
 
 TEST(AllocFree, VeccBatchSteadyState)

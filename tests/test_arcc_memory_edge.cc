@@ -2,7 +2,7 @@
  * @file
  * Edge-case tests for the functional memory: faults on check devices,
  * lane-scope overlays, partial-bit stuck-ats, writes into groups with
- * uncorrectable errors, and fault bookkeeping.
+ * uncorrectable errors, fault bookkeeping, and geometry validation.
  */
 
 #include <gtest/gtest.h>
@@ -264,6 +264,41 @@ TEST(ArccMemoryEdge, SpareListIsIdempotent)
     mem.spareDevice(0, 0, 7);
     EXPECT_EQ(mem.sparedDevices(0, 0).size(), 1u);
     EXPECT_TRUE(mem.sparedDevices(1, 1).empty());
+}
+
+TEST(ArccMemoryEdge, GeometriesThePageTableCannotCoverAreFatal)
+{
+    // Three channels truncate the 128 lines of a row to 42 each: an
+    // 8064-byte memory whose single page leaves a tail no page mode
+    // governs (read(4160) would index past the page table).
+    FunctionalConfig tail = FunctionalConfig::arccSmall();
+    tail.channels = 3;
+    tail.ranksPerChannel = tail.banks = tail.rows = 1;
+    EXPECT_EXIT(ArccMemory{tail}, ::testing::ExitedWithCode(1),
+                "capacity 8064 B .* not a whole number");
+
+    // Whole pages, but rows do not hold whole pages per channel: the
+    // rule AddressMap enforces.
+    FunctionalConfig split = tail;
+    split.ranksPerChannel = 2;
+    split.banks = 2;
+    split.rows = 8;
+    ASSERT_EQ(split.capacity() % kPageBytes, 0u);
+    EXPECT_EXIT(ArccMemory{split}, ::testing::ExitedWithCode(1),
+                "pagesPerRow = 2 .* channels = 3");
+
+    FunctionalConfig no_channels = FunctionalConfig::arccSmall();
+    no_channels.channels = 0;
+    EXPECT_EXIT(ArccMemory{no_channels}, ::testing::ExitedWithCode(1),
+                "channels = 0, need at least 1");
+    FunctionalConfig negative = FunctionalConfig::arccSmall();
+    negative.banks = -2;
+    EXPECT_EXIT(ArccMemory{negative}, ::testing::ExitedWithCode(1),
+                "banks = -2, need at least 0");
+    negative = FunctionalConfig::arccSmall();
+    negative.pagesPerRow = -1;
+    EXPECT_EXIT(ArccMemory{negative}, ::testing::ExitedWithCode(1),
+                "pagesPerRow = -1");
 }
 
 } // namespace

@@ -2,8 +2,8 @@
  * @file
  * Determinism proofs for every parallel kernel (ctest label
  * `determinism`): golden values plus N-thread-vs-1-thread equality
- * for the SDC-event Monte Carlo, the sharded scrubber, and the mix
- * simulation batch.
+ * for the SDC-event Monte Carlo, the sharded scrubber, the functional
+ * memory's data plane, and the mix simulation batch.
  *
  * Two kinds of test:
  *
@@ -28,6 +28,7 @@
 
 #include "arcc/scrubber.hh"
 #include "campaign/campaign.hh"
+#include "common/crc32c.hh"
 #include "common/rng.hh"
 #include "cpu/system_sim.hh"
 #include "cpu/trace.hh"
@@ -249,6 +250,197 @@ TEST(ScrubDeterminism, ParallelScrubHealsAndUpgradesLikeSerial)
         ReadResult r = mem.read(addr);
         EXPECT_NE(r.status, DecodeStatus::Detected);
     }
+}
+
+// --- functional memory data plane ---------------------------------------
+
+void
+crcU64(Crc32c &crc, std::uint64_t v)
+{
+    std::uint8_t b[8];
+    for (int i = 0; i < 8; ++i)
+        b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    crc.update(b);
+}
+
+void
+crcReport(Crc32c &crc, const ScrubReport &r)
+{
+    for (std::uint64_t v : {r.linesScrubbed, r.errorsCorrected, r.duesFound,
+                            r.stuckAt1Found, r.stuckAt0Found,
+                            r.pagesUpgraded, r.pagesRelaxed})
+        crcU64(crc, v);
+    crcU64(crc, r.faultyPages.size());
+    for (std::uint64_t p : r.faultyPages)
+        crcU64(crc, p);
+}
+
+void
+randomLine(Rng &rng, std::vector<std::uint8_t> &line)
+{
+    line.resize(kLineBytes);
+    for (auto &b : line)
+        b = static_cast<std::uint8_t>(rng.below(256));
+}
+
+/**
+ * Drive a memory through a seeded script -- line writes, batch reads,
+ * sharded scrubs, page-mode changes up and down -- and return a
+ * CRC-32C over everything it produced: every group's raw slices in
+ * its final mode, the page modes, the stats, the scrub reports and
+ * every batch read that decoded.  (A DUE read's data bytes are
+ * unspecified, so only its status is folded in.)
+ */
+std::uint32_t
+dataPlaneDigest(ArccMemory &mem, const std::vector<FunctionalFault> &boot,
+                const std::vector<FunctionalFault> &field, std::uint64_t seed)
+{
+    Crc32c crc;
+    Rng rng(seed);
+    const Scrubber scrubber;
+    const std::uint64_t pages = mem.pageTable().pages();
+    const std::uint64_t lines = mem.capacity() / kLineBytes;
+    std::vector<std::uint8_t> line;
+
+    for (std::uint64_t addr = 0; addr < mem.capacity(); addr += kLineBytes) {
+        randomLine(rng, line);
+        mem.write(addr, line);
+    }
+    for (const FunctionalFault &f : boot)
+        mem.injectFault(f);
+    crcReport(crc, scrubber.bootScrubParallel(mem));
+
+    auto writes = [&](int n) {
+        for (int i = 0; i < n; ++i) {
+            randomLine(rng, line);
+            mem.write(rng.below(lines) * kLineBytes, line);
+        }
+    };
+    writes(300);
+    for (const FunctionalFault &f : field)
+        mem.injectFault(f);
+
+    for (int b = 0; b < 6; ++b) {
+        // One whole page plus scattered lines (merged and unmerged
+        // groups, mode changes mid-batch).
+        std::vector<std::uint64_t> addrs;
+        const std::uint64_t page = rng.below(pages);
+        for (std::uint64_t i = 0; i < kLinesPerPage; ++i)
+            addrs.push_back(page * kPageBytes + i * kLineBytes);
+        for (int i = 0; i < 16; ++i)
+            addrs.push_back(rng.below(lines) * kLineBytes);
+        for (const ReadResult &r : mem.accessBatch(addrs)) {
+            crcU64(crc, static_cast<std::uint64_t>(r.status));
+            crcU64(crc, static_cast<std::uint64_t>(r.symbolsCorrected));
+            if (r.status != DecodeStatus::Detected)
+                crc.update(r.data);
+        }
+    }
+    crcReport(crc, scrubber.scrubParallel(mem));
+
+    std::vector<PageMode> modes = {PageMode::Relaxed, PageMode::Upgraded};
+    if (mem.config().allowLevel2)
+        modes.push_back(PageMode::Upgraded2);
+    for (int i = 0; i < 24; ++i) {
+        const std::uint64_t page = rng.below(pages);
+        const PageMode cur = mem.pageTable().mode(page);
+        PageMode next = modes[rng.below(modes.size())];
+        if (next == cur)
+            next = modes[(static_cast<std::size_t>(cur) + 1) % modes.size()];
+        mem.setPageMode(page, next);
+    }
+    writes(200);
+    crcReport(crc, scrubber.scrubParallel(mem));
+
+    const MemoryStats &s = mem.stats();
+    for (std::uint64_t v : {s.reads, s.writes, s.deviceReads, s.deviceWrites,
+                            s.corrected, s.dues})
+        crcU64(crc, v);
+    for (std::uint64_t page = 0; page < pages; ++page) {
+        const PageMode mode = mem.pageTable().mode(page);
+        crcU64(crc, static_cast<std::uint64_t>(mode));
+        const std::uint64_t group = mem.groupBytes(mode);
+        for (std::uint64_t off = 0; off < kPageBytes; off += group)
+            crc.update(mem.rawSnapshot(page * kPageBytes + off));
+    }
+    return crc.value();
+}
+
+FunctionalFault
+functionalFault(int channel, int rank, int device, FaultScope scope,
+                FaultKind kind, std::uint8_t mask, int bank = 0,
+                int row = 0, int col = 0)
+{
+    FunctionalFault f;
+    f.channel = channel;
+    f.rank = rank;
+    f.device = device;
+    f.scope = scope;
+    f.kind = kind;
+    f.mask = mask;
+    f.bank = bank;
+    f.row = row;
+    f.col = col;
+    return f;
+}
+
+TEST(ArccMemoryDeterminism, RawStorageGolden)
+{
+    // Golden digests of the functional data plane: raw storage,
+    // stats and scrub reports after dataPlaneDigest's script.  Any
+    // change to addressing, fault overlays, erasures, encode or the
+    // read-modify-write lands here first.  Boot faults are present at
+    // the boot scrub; field faults appear after it.
+
+    // Every fault scope and kind.  Two pairs of faults share a device,
+    // so the overlay order is pinned too.
+    ArccMemory small(FunctionalConfig::arccSmall());
+    EXPECT_EQ(
+        dataPlaneDigest(
+            small,
+            {functionalFault(1, 1, 7, FaultScope::Device,
+                             FaultKind::Corrupt, 0xff)},
+            {functionalFault(1, 0, 7, FaultScope::Lane,
+                             FaultKind::StuckAt1, 0x21),
+             functionalFault(0, 0, 11, FaultScope::Bank,
+                             FaultKind::StuckAt0, 0xf0, 1),
+             functionalFault(0, 1, 5, FaultScope::Row, FaultKind::Corrupt,
+                             0xff, 0, 3),
+             functionalFault(0, 0, 11, FaultScope::Column,
+                             FaultKind::StuckAt1, 0xff, 1, 0, 17),
+             functionalFault(1, 0, 9, FaultScope::Cell,
+                             FaultKind::StuckAt0, 0x0f, 1, 5, 40)},
+            11),
+        3297727006u);
+
+    // Double chip sparing with level 2: the spared device is read as
+    // an erasure.
+    ArccMemory wide(FunctionalConfig::arccWide());
+    wide.spareDevice(2, 0, 4);
+    EXPECT_EQ(
+        dataPlaneDigest(
+            wide,
+            {functionalFault(2, 0, 4, FaultScope::Device,
+                             FaultKind::Corrupt, 0xff)},
+            {functionalFault(3, 1, 12, FaultScope::Lane,
+                             FaultKind::StuckAt0, 0x81),
+             functionalFault(1, 1, 0, FaultScope::Row,
+                             FaultKind::StuckAt1, 0x10, 1, 6)},
+            12),
+        1918719187u);
+
+    ArccMemory lot(FunctionalConfig::lotSmall());
+    EXPECT_EQ(
+        dataPlaneDigest(
+            lot,
+            {functionalFault(0, 0, 4, FaultScope::Device,
+                             FaultKind::Corrupt, 0xff)},
+            {functionalFault(1, 1, 8, FaultScope::Cell,
+                             FaultKind::StuckAt1, 0x3c, 0, 2, 9),
+             functionalFault(1, 0, 2, FaultScope::Column,
+                             FaultKind::StuckAt0, 0xff, 1, 0, 33)},
+            13),
+        3118032291u);
 }
 
 // --- mix simulation batch ----------------------------------------------

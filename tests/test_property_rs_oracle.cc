@@ -134,6 +134,48 @@ TEST(RsOracleProperty, FuzzedDecodesMatchReferenceBitForBit)
     }
 }
 
+TEST(RsOracleProperty, FuzzedEncodesMatchReferenceForEveryCheckCount)
+{
+    // Encode on its own, over both encoder paths: the packed-remainder
+    // table (r <= 8) and the per-coefficient loop (longer codes).
+    // Every r from 1 to 16 runs at a short, a random and the longest
+    // length, plus RS(255,223).  A sentinel past n catches overruns.
+    std::vector<RsShape> shapes;
+    Rng lengths(kBaseSeed);
+    for (int r = 1; r <= 16; ++r)
+        for (int n : {r + 1, r + 2 + static_cast<int>(lengths.below(200)),
+                      255})
+            shapes.push_back({n, n - r});
+    shapes.push_back({255, 223});
+
+    for (const RsShape &shape : shapes) {
+        ReedSolomon fast(shape.n, shape.k);
+        RsReference ref(shape.n, shape.k);
+        for (std::uint64_t it = 0; it < 300; ++it) {
+            const std::uint64_t seed =
+                caseSeed(0x300000000ULL +
+                         (static_cast<std::uint64_t>(shape.n) << 24) +
+                         (static_cast<std::uint64_t>(shape.k) << 12) + it);
+            Rng rng(seed);
+
+            std::vector<std::uint8_t> word(shape.n + 1, 0x5a);
+            for (int i = 0; i < shape.k; ++i)
+                word[i] = it == 0   ? 0
+                          : it == 1 ? 0xff
+                                    : static_cast<std::uint8_t>(
+                                          rng.below(256));
+            std::vector<std::uint8_t> word_ref = word;
+            fast.encode(word);
+            ref.encode(word_ref);
+            if (word != word_ref || word[shape.n] != 0x5a ||
+                !ref.syndromesZero(
+                    std::span<const std::uint8_t>(word.data(), shape.n)))
+                FAIL() << "encode mismatch: n=" << shape.n
+                       << " k=" << shape.k << " seed=" << seed;
+        }
+    }
+}
+
 TEST(RsOracleProperty, ExtendedSyndromeDecodesMatchReference)
 {
     // The VECC path: decodeWithSyndromes with sequences *longer* than
