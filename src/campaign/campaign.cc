@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <optional>
 
 #include "campaign/checkpoint.hh"
@@ -15,7 +14,7 @@
 #include "common/rng.hh"
 #include "common/units.hh"
 #include "engine/sim_engine.hh"
-#include "reliability/sdc_model.hh"
+#include "faults/trial_kernel.hh"
 
 namespace arcc
 {
@@ -220,66 +219,27 @@ CampaignAggregate
 CampaignDriver::runTrials(std::uint64_t begin, std::uint64_t end) const
 {
     CampaignAggregate agg = CampaignAggregate::empty();
-    const double hours = spec_.years * kHoursPerYear;
-    const int groups =
-        spec_.geom.totalDevices() / spec_.devicesPerGroup;
-    FaultSampler sampler(spec_.geom,
-                         spec_.rates.scaled(spec_.rateBoost));
+    const TrialKernel kernel(
+        spec_.geom, spec_.rates.scaled(spec_.rateBoost),
+        spec_.years * kHoursPerYear, spec_.seed,
+        {spec_.devicesPerGroup, spec_.rowsPerBank, spec_.colsPerBank});
+    const double end_of_life[] = {spec_.years};
 
-    std::vector<ConcreteFault> faults;
-    for (std::uint64_t trial = begin; trial < end; ++trial) {
-        // The whole trial is a pure function of (seed, trial): the
-        // lifetime draws and the codeword-footprint draws come from
-        // one stream in a fixed order.
-        Rng trng = Rng::stream(spec_.seed, trial);
-        auto events = sampler.sampleLifetime(hours, trng);
-
-        // Concretise each fault's codeword footprint (group, device
-        // within group, row, column); the bank rides along from the
-        // lifetime sample.  Events are time-sorted, so the concrete
-        // list is too.
-        faults.clear();
-        AffectedTracker tracker(spec_.geom);
-        for (const FaultEvent &e : events) {
-            ConcreteFault f;
-            f.timeHours = e.timeHours;
-            f.type = e.type;
-            f.group = static_cast<int>(trng.below(groups));
-            f.device =
-                static_cast<int>(trng.below(spec_.devicesPerGroup));
-            f.bank = e.bank;
-            f.row = static_cast<int>(trng.below(spec_.rowsPerBank));
-            f.col = static_cast<int>(trng.below(spec_.colsPerBank));
-            faults.push_back(f);
-            tracker.apply(e);
-        }
-
-        // Overlap scans, via the same kernel as the SDC model's
-        // validation Monte Carlo.  DUE candidates are overlapping
-        // pairs at any separation; SDC candidates additionally need
-        // the second fault inside the first's scrub-detection window.
-        for (std::size_t i = 0; i < faults.size(); ++i) {
-            const double detect =
-                (std::floor(faults[i].timeHours / spec_.scrubHours) +
-                 1.0) *
-                spec_.scrubHours;
-            for (std::size_t j = i + 1; j < faults.size(); ++j) {
-                if (!faultsOverlap(faults[i], faults[j]))
-                    continue;
-                ++agg.dueCandidates;
-                if (faults[j].timeHours < detect)
-                    ++agg.sdcCandidates;
-            }
-        }
-
-        const double frac = tracker.fraction();
+    Trial trial;
+    for (std::uint64_t t = begin; t < end; ++t) {
+        kernel.draw(t, trial);
+        double frac = 0.0;
+        addAffectedFractions(spec_.geom, trial.events, end_of_life,
+                             {&frac, 1});
+        agg.sdcCandidates += countSdcPairs(trial.faults, spec_.scrubHours);
+        agg.dueCandidates += countDuePairs(trial.faults);
         ++agg.trials;
-        agg.faultsSampled += faults.size();
-        if (!faults.empty())
+        agg.faultsSampled += trial.faults.size();
+        if (!trial.faults.empty())
             ++agg.trialsWithFault;
         agg.affectedSum += frac;
         agg.affectedHist.add(frac);
-        agg.faultHist.add(static_cast<double>(faults.size()));
+        agg.faultHist.add(static_cast<double>(trial.faults.size()));
     }
     return agg;
 }

@@ -280,9 +280,10 @@ class CampaignDriver
                                     {}) const;
 
     /**
-     * The deterministic kernel: aggregate trials [begin, end) run
-     * serially on the calling thread.  Exposed so tests can compare
-     * any sharded/resumed decomposition against one serial pass.
+     * Aggregate trials [begin, end), each drawn and observed by the
+     * TrialKernel (faults/trial_kernel.hh), serially on the calling
+     * thread.  Exposed so tests can compare any sharded/resumed
+     * decomposition against one serial pass.
      */
     CampaignAggregate runTrials(std::uint64_t begin,
                                 std::uint64_t end) const;
@@ -349,7 +350,8 @@ loadWorkerSlice(const std::string &path, const CampaignSpec &spec,
  * they merge exactly in any grouping.  The double-valued sums
  * (affectedSum and the sketches' sums) are sums of per-trial metrics
  * that are dyadic rationals on one fixed power-of-two denominator --
- * AffectedTracker::fraction() is (cells marked) / (2^k cells) +
+ * the affected fraction (addAffectedFractions in
+ * faults/trial_kernel.hh) is (cells marked) / (2^k cells) +
  * (pages) / (2^20 pages), and the fault-count metric is a small
  * integer -- so every partial sum is exactly representable and IEEE
  * addition over them is associative: any contiguous split of the

@@ -1,17 +1,13 @@
 /**
  * @file
- * Channel-sharded DRAM timing state: the per-channel half of the
- * system simulator's shard-reduce split.
+ * Channel-sharded DRAM timing state: the memory system's one front
+ * door, and the per-channel half of the system simulator's
+ * shard-reduce split.
  *
- * `MemorySystem` couples every channel behind one facade, which is
- * what a serial event loop wants but exactly what a sharded back-end
- * must not have.  This header factors the coupling apart:
- *
- *  - ChannelSet owns the MemChannel timing/power state for a
- *    *subset* of the system's channels and carries the paired
- *    (upgraded 128B) lockstep-issue logic that used to live inside
- *    MemorySystem::access().  MemorySystem itself is now a ChannelSet
- *    over all channels plus the address decode.
+ *  - ChannelSet owns the MemChannel timing/power state for a set of
+ *    the system's channels -- all of them, or one shard's group --
+ *    and carries the paired (upgraded 128B) lockstep-issue logic.
+ *    Callers decode addresses with their own AddressMap.
  *
  *  - ChannelShardPlan partitions the channel ids into shard groups
  *    such that every access -- including a paired access, whose two
@@ -68,8 +64,7 @@ class ChannelSet
      * Issue one upgraded 128B access: sub-lines `a` and `b` issue in
      * lockstep when they live in two channels (both must be owned by
      * this set), or back to back when a non-interleaving map puts
-     * them in the same channel.  This is the logic formerly inlined
-     * in MemorySystem::access().
+     * them in the same channel.
      * @return data-ready time of the later sub-line (ns).
      */
     double accessPaired(double now, const DramCoord &a,

@@ -6,11 +6,9 @@
 #include "dram/mem_controller.hh"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/logging.hh"
 #include "common/units.hh"
-#include "dram/channel_shard.hh"
 
 namespace arcc
 {
@@ -179,55 +177,6 @@ MemChannel::finalize(double endTime)
     double refreshes = endTime / dev_.tREFI;
     power_.refreshNj += refreshes * dev_.refreshEnergy() *
                         config_.devicesPerRank * ranks_;
-}
-
-MemorySystem::MemorySystem(const MemoryConfig &config,
-                           MapPolicy map_policy, ControllerConfig ctrl)
-    : config_(config), map_(config_, map_policy), ctrl_(ctrl)
-{
-    std::vector<int> all(config_.channels);
-    std::iota(all.begin(), all.end(), 0);
-    channels_ =
-        std::make_unique<ChannelSet>(config_, ctrl_, std::move(all));
-}
-
-MemorySystem::~MemorySystem() = default;
-
-double
-MemorySystem::access(double now, std::uint64_t addr, bool is_write,
-                     bool paired)
-{
-    if (!paired) {
-        DramCoord coord = map_.decode(addr % map_.capacity());
-        return channels_->access(now, coord, is_write);
-    }
-
-    // Upgraded line: the two sub-lines live at identical coordinates in
-    // the two interleaved channels; ChannelSet issues them in lockstep
-    // (or back to back under a non-interleaving map).
-    std::uint64_t base =
-        (addr % map_.capacity()) & ~(kUpgradedLineBytes - 1);
-    DramCoord a = map_.decode(base);
-    DramCoord b = map_.decode(base + kLineBytes);
-    return channels_->accessPaired(now, a, b, is_write);
-}
-
-void
-MemorySystem::finalize(double endTime)
-{
-    channels_->finalize(endTime);
-}
-
-PowerBreakdown
-MemorySystem::breakdown() const
-{
-    return channels_->breakdown();
-}
-
-std::uint64_t
-MemorySystem::accesses() const
-{
-    return channels_->accesses();
 }
 
 } // namespace arcc

@@ -1,7 +1,8 @@
 /**
  * @file
- * Closed-page DDR2 memory channel timing and power model, plus the
- * multi-channel MemorySystem facade.
+ * Closed-page DDR2 memory channel timing and power model.  Callers
+ * decode addresses with an AddressMap (dram/address_map.hh) and drive
+ * the channels through a ChannelSet (dram/channel_shard.hh).
  *
  * The model is a reservation-based FCFS simulator: requests must be
  * presented in non-decreasing arrival-time order (the system simulator
@@ -33,7 +34,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "dram/address_map.hh"
@@ -172,70 +172,6 @@ class MemChannel
 
     PowerBreakdown power_;
     std::uint64_t accesses_ = 0;
-};
-
-class ChannelSet;
-
-/**
- * The full memory system: the serial-facing facade over every
- * channel.
- *
- * Internally this is one ChannelSet (dram/channel_shard.hh) spanning
- * all channels plus the address decode; the sharded system simulator
- * bypasses the facade and gives each shard its own ChannelSet over a
- * disjoint channel group instead.
- */
-class MemorySystem
-{
-  public:
-    /**
-     * @param config     memory geometry and device parameters.
-     * @param map_policy address-interleave policy for the decode.
-     * @param ctrl       controller knobs (queue depth, pairing).
-     */
-    MemorySystem(const MemoryConfig &config,
-                 MapPolicy map_policy = MapPolicy::HiPerf,
-                 ControllerConfig ctrl = {});
-    ~MemorySystem();
-
-    /**
-     * Issue one access.
-     *
-     * @param now     arrival time (ns); non-decreasing across calls.
-     * @param addr    physical byte address of the 64B line.
-     * @param is_write true for a writeback.
-     * @param paired  true for an upgraded 128B access: the line pair
-     *                {addr & ~127, (addr & ~127) + 64} is fetched from
-     *                both channels in lockstep.
-     * @return data-ready time (ns).
-     */
-    double access(double now, std::uint64_t addr, bool is_write,
-                  bool paired);
-
-    /**
-     * Finish background accounting; call once, at simulation end.
-     * @param endTime wall-clock end of the simulated window (ns).
-     */
-    void finalize(double endTime);
-
-    /** @return aggregate power breakdown (valid after finalize). */
-    PowerBreakdown breakdown() const;
-
-    /** @return total accesses issued across all channels. */
-    std::uint64_t accesses() const;
-
-    /** @return the address map the facade decodes through. */
-    const AddressMap &map() const { return map_; }
-
-    /** @return the memory configuration this system models. */
-    const MemoryConfig &config() const { return config_; }
-
-  private:
-    MemoryConfig config_;
-    AddressMap map_;
-    ControllerConfig ctrl_;
-    /** All channels as one set (heap: ChannelSet is fwd-declared). */
-    std::unique_ptr<ChannelSet> channels_;
 };
 
 } // namespace arcc

@@ -131,70 +131,6 @@ FaultSampler::sampleLifetime(double hours, Rng &rng) const
     return events;
 }
 
-AffectedTracker::AffectedTracker(const DomainGeometry &geom)
-    : geom_(geom),
-      cells_(static_cast<std::size_t>(geom.ranks) *
-                 geom.banksPerDevice * 2,
-             false)
-{
-}
-
-void
-AffectedTracker::apply(const FaultEvent &e)
-{
-    switch (e.type) {
-      case FaultType::Lane:
-        for (std::size_t i = 0; i < cells_.size(); ++i)
-            markCell(i);
-        break;
-      case FaultType::Device:
-        for (int b = 0; b < geom_.banksPerDevice; ++b)
-            for (int h = 0; h < 2; ++h)
-                markCell(idx(e.rank, b, h));
-        break;
-      case FaultType::Bank:
-        markCell(idx(e.rank, e.bank, 0));
-        markCell(idx(e.rank, e.bank, 1));
-        break;
-      case FaultType::Column:
-        markCell(idx(e.rank, e.bank, e.half));
-        break;
-      case FaultType::Row:
-        smallPages_ += geom_.pagesPerRow;
-        break;
-      case FaultType::Word:
-      case FaultType::Bit:
-        smallPages_ += 1;
-        break;
-    }
-}
-
-double
-AffectedTracker::fraction() const
-{
-    double big = static_cast<double>(marked_) /
-                 static_cast<double>(cells_.size());
-    double small = static_cast<double>(smallPages_) /
-                   static_cast<double>(geom_.pages);
-    return std::min(1.0, big + small);
-}
-
-std::size_t
-AffectedTracker::idx(int rank, int bank, int half) const
-{
-    return (static_cast<std::size_t>(rank) * geom_.banksPerDevice +
-            bank) * 2 + half;
-}
-
-void
-AffectedTracker::markCell(std::size_t i)
-{
-    if (!cells_[i]) {
-        cells_[i] = true;
-        ++marked_;
-    }
-}
-
 void
 FaultSampler::sortEvents(std::vector<FaultEvent> &events)
 {

@@ -15,7 +15,6 @@
 #define ARCC_FAULTS_FAULT_MODEL_HH
 
 #include <array>
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -132,41 +131,9 @@ class FaultSampler
      */
     static void sortEvents(std::vector<FaultEvent> &events);
 
-    const DomainGeometry &geometry() const { return geom_; }
-    const FaultRates &rates() const { return rates_; }
-
   private:
     DomainGeometry geom_;
     FaultRates rates_;
-};
-
-/**
- * Exact union tracker for the worst-case page footprint of big faults:
- * the domain is a grid of (rank, bank, half) cells, each covering
- * 1 / (ranks * banks * 2) of the pages; small faults (row/word/bit)
- * add their handful of pages additively (overlap with cells is
- * negligible and ignored).  Shared by the lifetime Monte Carlo and
- * the campaign driver.
- */
-class AffectedTracker
-{
-  public:
-    explicit AffectedTracker(const DomainGeometry &geom);
-
-    /** Mark the pages the fault taints. */
-    void apply(const FaultEvent &e);
-
-    /** Fraction of the domain's pages affected so far, capped at 1. */
-    double fraction() const;
-
-  private:
-    std::size_t idx(int rank, int bank, int half) const;
-    void markCell(std::size_t i);
-
-    DomainGeometry geom_;
-    std::vector<bool> cells_;
-    std::size_t marked_ = 0;
-    std::uint64_t smallPages_ = 0;
 };
 
 } // namespace arcc

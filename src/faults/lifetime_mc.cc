@@ -5,7 +5,6 @@
 
 #include "faults/lifetime_mc.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -18,15 +17,35 @@ namespace arcc
 namespace
 {
 
-// AffectedTracker moved to faults/fault_model.{hh,cc} so the campaign
-// driver shares the exact footprint-union arithmetic.
-
-/** Elementwise-sum fold shared by the sharded reductions. */
-void
-addInto(std::vector<double> &acc, const std::vector<double> &partial)
+/** The channel fold both curves share: channel c is trial c of a
+ *  histories-only kernel on `seed`, observe() adds it to its shard's
+ *  partial, and the engine sums partials in shard order. */
+template <class Observe>
+std::vector<double>
+fleetAverage(const LifetimeMcConfig &config, SimEngine &engine,
+             std::uint64_t seed, std::size_t points, Observe observe)
 {
-    for (std::size_t i = 0; i < acc.size(); ++i)
-        acc[i] += partial[i];
+    const TrialKernel kernel(config.geom, config.rates,
+                             config.years * kHoursPerYear, seed);
+    std::vector<double> avg = engine.mapReduce(
+        static_cast<std::uint64_t>(config.channels),
+        SimEngine::kDefaultShard, std::vector<double>(points, 0.0),
+        [&](const ShardRange &shard) {
+            std::vector<double> partial(points, 0.0);
+            Trial trial;
+            for (std::uint64_t c = shard.begin; c < shard.end; ++c) {
+                kernel.draw(c, trial);
+                observe(trial.events, partial);
+            }
+            return partial;
+        },
+        [](std::vector<double> &acc, std::vector<double> &&partial) {
+            for (std::size_t i = 0; i < acc.size(); ++i)
+                acc[i] += partial[i];
+        });
+    for (double &v : avg)
+        v /= config.channels;
+    return avg;
 }
 
 } // anonymous namespace
@@ -37,8 +56,13 @@ LifetimeMc::LifetimeMc(const LifetimeMcConfig &config, SimEngine *engine)
 {
     if (config_.channels <= 0)
         fatal("LifetimeMc: need at least one channel");
-    if (config_.shardChannels <= 0)
-        fatal("LifetimeMc: shardChannels must be positive");
+    if (config_.gridPerYear < 1)
+        fatal("LifetimeMc: gridPerYear must be at least 1, got %d",
+              config_.gridPerYear);
+    if (!(config_.years * config_.gridPerYear >= 1.0))
+        fatal("LifetimeMc: years * gridPerYear must be at least 1 "
+              "(one grid point), got %g years * %d",
+              config_.years, config_.gridPerYear);
 }
 
 AffectedCurve
@@ -51,44 +75,13 @@ LifetimeMc::affectedFraction() const
     for (int p = 0; p < points; ++p)
         curve.timeYears[p] =
             (p + 1) / static_cast<double>(config_.gridPerYear);
-
-    const double hours = config_.years * kHoursPerYear;
-    FaultSampler sampler(config_.geom, config_.rates);
-
-    // Shard the fleet: each shard sums its channels' curves locally,
-    // the engine folds the partials in shard order.  Channel c's
-    // generator is a pure function of (seed, c), so the histories are
-    // independent of sharding and thread count alike.
-    curve.avgFraction = engine_->mapReduce(
-        static_cast<std::uint64_t>(config_.channels),
-        static_cast<std::uint64_t>(config_.shardChannels),
-        std::vector<double>(points, 0.0),
-        [&](const ShardRange &shard) {
-            std::vector<double> partial(points, 0.0);
-            for (std::uint64_t c = shard.begin; c < shard.end; ++c) {
-                Rng chan_rng = Rng::stream(config_.seed, c);
-                auto events = sampler.sampleLifetime(hours, chan_rng);
-                AffectedTracker tracker(config_.geom);
-                std::size_t next = 0;
-                for (int p = 0; p < points; ++p) {
-                    double t_hours =
-                        curve.timeYears[p] * kHoursPerYear;
-                    while (next < events.size() &&
-                           events[next].timeHours <= t_hours) {
-                        tracker.apply(events[next]);
-                        ++next;
-                    }
-                    partial[p] += tracker.fraction();
-                }
-            }
-            return partial;
-        },
-        [](std::vector<double> &acc, std::vector<double> &&partial) {
-            addInto(acc, partial);
+    curve.avgFraction = fleetAverage(
+        config_, *engine_, config_.seed, points,
+        [&](const std::vector<FaultEvent> &events,
+            std::vector<double> &partial) {
+            addAffectedFractions(config_.geom, events, curve.timeYears,
+                                 partial);
         });
-
-    for (double &f : curve.avgFraction)
-        f /= config_.channels;
     return curve;
 }
 
@@ -96,51 +89,15 @@ std::vector<double>
 LifetimeMc::cumulativeOverheadByYear(const PerTypeOverhead &overhead,
                                      double cap) const
 {
-    const int years = static_cast<int>(config_.years);
-    const double hours = config_.years * kHoursPerYear;
-    FaultSampler sampler(config_.geom, config_.rates);
-
-    std::vector<double> by_year = engine_->mapReduce(
-        static_cast<std::uint64_t>(config_.channels),
-        static_cast<std::uint64_t>(config_.shardChannels),
-        std::vector<double>(years, 0.0),
-        [&](const ShardRange &shard) {
-            std::vector<double> partial(years, 0.0);
-            for (std::uint64_t c = shard.begin; c < shard.end; ++c) {
-                // seed + 1 keeps this experiment's streams disjoint
-                // from affectedFraction's, as the fork()-based code
-                // did before it.
-                Rng chan_rng = Rng::stream(config_.seed + 1, c);
-                auto events = sampler.sampleLifetime(hours, chan_rng);
-
-                // Integrate the per-channel overhead step function.
-                for (int y = 1; y <= years; ++y) {
-                    double horizon = y * kHoursPerYear;
-                    double integral = 0.0;
-                    double level = 0.0;
-                    double raw = 0.0;
-                    double prev_t = 0.0;
-                    for (const FaultEvent &e : events) {
-                        if (e.timeHours > horizon)
-                            break;
-                        integral += level * (e.timeHours - prev_t);
-                        raw += overhead[static_cast<int>(e.type)];
-                        level = std::min(raw, cap);
-                        prev_t = e.timeHours;
-                    }
-                    integral += level * (horizon - prev_t);
-                    partial[y - 1] += integral / horizon;
-                }
-            }
-            return partial;
-        },
-        [](std::vector<double> &acc, std::vector<double> &&partial) {
-            addInto(acc, partial);
+    // seed + 1 keeps this experiment's streams disjoint from
+    // affectedFraction's.
+    return fleetAverage(
+        config_, *engine_, config_.seed + 1,
+        static_cast<std::size_t>(config_.years),
+        [&](const std::vector<FaultEvent> &events,
+            std::vector<double> &partial) {
+            addCumulativeOverhead(events, overhead, cap, partial);
         });
-
-    for (double &v : by_year)
-        v /= config_.channels;
-    return by_year;
 }
 
 double

@@ -18,11 +18,10 @@
 #ifndef ARCC_FAULTS_LIFETIME_MC_HH
 #define ARCC_FAULTS_LIFETIME_MC_HH
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
-#include "faults/fault_model.hh"
+#include "faults/trial_kernel.hh"
 
 namespace arcc
 {
@@ -40,13 +39,6 @@ struct LifetimeMcConfig
     /** Time-grid points per year for the affected-fraction curve. */
     int gridPerYear = 12;
     std::uint64_t seed = 2013;
-    /**
-     * Channels per engine shard (SimEngine::kDefaultShard).  Results
-     * are bit-identical for any thread count at a given shard size
-     * (and change benignly with the shard size, which only reorders
-     * the floating-point reduction).
-     */
-    int shardChannels = 64;
 };
 
 /** Affected-fraction curve (Figure 3.1). */
@@ -56,12 +48,9 @@ struct AffectedCurve
     std::vector<double> avgFraction;
 };
 
-/** Per-fault-type overhead for the cumulative-overhead curves. */
-using PerTypeOverhead = std::array<double, kNumFaultTypes>;
-
 /**
  * The fleet Monte Carlo engine.  Deterministic for a given seed:
- * channel c's fault history comes from Rng::stream(seed, c), and the
+ * channel c's fault history is trial c of a TrialKernel, and the
  * fleet reduction folds per-shard partials in shard order, so the
  * curves are bit-identical whether the SimEngine runs 1 thread or 64.
  */
@@ -71,6 +60,9 @@ class LifetimeMc
     /**
      * @param engine  engine the channel shards run on; nullptr uses
      *                SimEngine::global().
+     *
+     * fatal() when the time grid is empty: gridPerYear < 1 or
+     * years * gridPerYear < 1.
      */
     explicit LifetimeMc(const LifetimeMcConfig &config,
                         SimEngine *engine = nullptr);
@@ -99,8 +91,6 @@ class LifetimeMc
      * overlaps between faults -- a cross-check for the Monte Carlo.
      */
     double analyticAffectedFraction(double years) const;
-
-    const LifetimeMcConfig &config() const { return config_; }
 
   private:
     LifetimeMcConfig config_;

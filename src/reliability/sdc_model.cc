@@ -17,57 +17,6 @@
 namespace arcc
 {
 
-namespace
-{
-
-/** Footprint scope of a fault type within its device. */
-struct Scope
-{
-    bool oneBank = false;
-    bool oneRow = false;
-    bool oneCol = false;
-};
-
-Scope
-scopeOf(FaultType t)
-{
-    switch (t) {
-      case FaultType::Device:
-      case FaultType::Lane:
-        return {false, false, false};
-      case FaultType::Bank:
-        return {true, false, false};
-      case FaultType::Column:
-        return {true, false, true};
-      case FaultType::Row:
-        return {true, true, false};
-      case FaultType::Word:
-      case FaultType::Bit:
-        return {true, true, true};
-    }
-    return {};
-}
-
-} // anonymous namespace
-
-bool
-faultsOverlap(const ConcreteFault &a, const ConcreteFault &b)
-{
-    if (a.type == FaultType::Lane || b.type == FaultType::Lane)
-        return true;
-    if (a.group != b.group || a.device == b.device)
-        return false;
-    Scope sa = scopeOf(a.type);
-    Scope sb = scopeOf(b.type);
-    if (sa.oneBank && sb.oneBank && a.bank != b.bank)
-        return false;
-    if (sa.oneRow && sb.oneRow && a.row != b.row)
-        return false;
-    if (sa.oneCol && sb.oneCol && a.col != b.col)
-        return false;
-    return true;
-}
-
 SdcModelConfig
 SdcModelConfig::sccdcdMachine()
 {
@@ -109,8 +58,8 @@ SdcModel::pairOverlap(FaultType a, FaultType b) const
     if (a == FaultType::Lane || b == FaultType::Lane)
         return 1.0;
 
-    Scope sa = scopeOf(a);
-    Scope sb = scopeOf(b);
+    FootprintScope sa = footprintScope(a);
+    FootprintScope sb = footprintScope(b);
     double p = 1.0 / config_.groups;             // same codeword group.
     p *= 1.0 - 1.0 / config_.devicesPerGroup;    // distinct devices.
     if (sa.oneBank && sb.oneBank)
@@ -125,10 +74,10 @@ SdcModel::pairOverlap(FaultType a, FaultType b) const
 double
 SdcModel::tripleOverlap(FaultType a, FaultType b, FaultType c) const
 {
-    std::vector<Scope> scopes;
+    std::vector<FootprintScope> scopes;
     for (FaultType t : {a, b, c}) {
         if (t != FaultType::Lane)
-            scopes.push_back(scopeOf(t));
+            scopes.push_back(footprintScope(t));
     }
     if (scopes.size() <= 1)
         return 1.0;
@@ -141,15 +90,15 @@ SdcModel::tripleOverlap(FaultType a, FaultType b, FaultType c) const
 
     auto dim = [&](auto member, double size) {
         int k = 0;
-        for (const Scope &s : scopes)
+        for (const FootprintScope &s : scopes)
             if (s.*member)
                 ++k;
         if (k >= 2)
             p *= std::pow(1.0 / size, k - 1);
     };
-    dim(&Scope::oneBank, config_.banks);
-    dim(&Scope::oneRow, config_.rowsPerBank);
-    dim(&Scope::oneCol, config_.colsPerBank);
+    dim(&FootprintScope::oneBank, config_.banks);
+    dim(&FootprintScope::oneRow, config_.rowsPerBank);
+    dim(&FootprintScope::oneCol, config_.colsPerBank);
     return p;
 }
 
@@ -222,79 +171,39 @@ SdcModel::mcArccSdcEventsDetailed(double years, double boost,
     if (!engine)
         engine = &SimEngine::global();
 
-    SdcModelConfig boosted = config_;
-    boosted.rates = config_.rates.scaled(boost);
-
-    const double life_hours = years * kHoursPerYear;
-
-    // One trial's fault history and overlap scan.  Self-contained:
-    // the generator is a pure function of (seed, trial), so trials
-    // can run in any order on any shard.
-    auto runTrial = [&](std::uint64_t trial, McSdcResult &out) {
-        Rng trng = Rng::stream(seed, trial);
-        std::vector<ConcreteFault> faults;
-        for (FaultType t : allFaultTypes()) {
-            double rate =
-                fitToPerHour(boosted.rates[t]) * config_.devices;
-            std::uint64_t n = trng.poisson(rate * life_hours);
-            for (std::uint64_t i = 0; i < n; ++i) {
-                ConcreteFault f;
-                f.timeHours = trng.uniform() * life_hours;
-                f.type = t;
-                f.group = static_cast<int>(trng.below(config_.groups));
-                f.device = static_cast<int>(
-                    trng.below(config_.devicesPerGroup));
-                f.bank = static_cast<int>(trng.below(config_.banks));
-                f.row = static_cast<int>(trng.below(config_.rowsPerBank));
-                f.col = static_cast<int>(trng.below(config_.colsPerBank));
-                faults.push_back(f);
-            }
-        }
-        std::sort(faults.begin(), faults.end(),
-                  [](const ConcreteFault &a, const ConcreteFault &b) {
-                      return a.timeHours < b.timeHours;
-                  });
-
-        std::uint64_t trial_events = 0;
-        for (std::size_t i = 0; i < faults.size(); ++i) {
-            // Fault i is detected (and its pages upgraded) at the end
-            // of the scrub period it arrives in.
-            double detect =
-                (std::floor(faults[i].timeHours / config_.scrubHours) +
-                 1.0) *
-                config_.scrubHours;
-            for (std::size_t j = i + 1; j < faults.size(); ++j) {
-                if (faults[j].timeHours >= detect)
-                    break;
-                if (faultsOverlap(faults[i], faults[j]))
-                    ++trial_events;
-            }
-        }
-
-        ++out.trials;
-        out.events += trial_events;
-        out.faultsSampled += faults.size();
-        int bin = static_cast<int>(
-            std::min<std::uint64_t>(trial_events,
-                                    McSdcResult::kHistogramBins - 1));
-        ++out.eventHistogram[bin];
-    };
+    // The machine as one trial domain whose ranks are its codeword
+    // groups.
+    DomainGeometry geom;
+    geom.ranks = config_.groups;
+    geom.devicesPerRank = config_.devicesPerGroup;
+    geom.banksPerDevice = config_.banks;
+    const TrialKernel kernel(
+        geom, config_.rates.scaled(boost), years * kHoursPerYear, seed,
+        {config_.devicesPerGroup, config_.rowsPerBank,
+         config_.colsPerBank});
 
     // Shard the trial range; each shard's partial is pure integer
     // counters, merged in shard order on the calling thread.
-    return engine->reduceShards(
+    return engine->mapReduce(
         static_cast<std::uint64_t>(trials), SimEngine::kDefaultShard,
+        McSdcResult{},
         [&](const ShardRange &shard) {
             McSdcResult partial;
-            for (std::uint64_t t = shard.begin; t < shard.end; ++t)
-                runTrial(t, partial);
+            Trial trial;
+            for (std::uint64_t t = shard.begin; t < shard.end; ++t) {
+                kernel.draw(t, trial);
+                const std::uint64_t events =
+                    countSdcPairs(trial.faults, config_.scrubHours);
+                ++partial.trials;
+                partial.events += events;
+                partial.faultsSampled += trial.faults.size();
+                ++partial.eventHistogram[std::min<std::uint64_t>(
+                    events, McSdcResult::kHistogramBins - 1)];
+            }
             return partial;
         },
-        [](std::vector<McSdcResult> &&partials) {
-            McSdcResult total;
-            for (const McSdcResult &p : partials)
-                total.merge(p);
-            return total;
+        [](McSdcResult &acc, McSdcResult &&partial) {
+            acc.merge(partial);
         });
 }
 

@@ -39,7 +39,7 @@
 #include <array>
 #include <cstdint>
 
-#include "faults/fault_model.hh"
+#include "faults/trial_kernel.hh"
 
 namespace arcc
 {
@@ -110,32 +110,6 @@ struct SdcModelConfig
 };
 
 /**
- * A concrete fault with a fully sampled codeword-group footprint --
- * the unit the Monte Carlo overlap scan works on.  Exposed so the
- * campaign driver (src/campaign) runs the *same* overlap kernel as
- * the validation Monte Carlo instead of cloning it.
- */
-struct ConcreteFault
-{
-    double timeHours = 0.0;
-    FaultType type = FaultType::Bit;
-    int group = 0;   ///< Codeword group (lockstep or relaxed rank).
-    int device = 0;  ///< Device within the group.
-    int bank = 0;
-    int row = 0;
-    int col = 0;
-};
-
-/**
- * Worst-case footprint intersection (Chapter 3): do two faults
- * produce two bad symbols in a common codeword?  A lane fault
- * blankets everything; any other pair must hit the same group from
- * *different* devices, with matching bank / row / column wherever
- * both footprints are confined to one.
- */
-bool faultsOverlap(const ConcreteFault &a, const ConcreteFault &b);
-
-/**
  * Closed-form SDC / DUE rate model with Monte Carlo validation.
  */
 class SdcModel
@@ -180,9 +154,9 @@ class SdcModel
      * boosted (the raw rates are too small to hit in feasible trials).
      * Compare against arccSdcEvents computed on the boosted config.
      *
-     * Trials are sharded across the engine (nullptr = the global one).
-     * Trial t draws its generator from Rng::stream(seed, t) -- a pure
-     * function of the trial index -- and the per-shard partials are
+     * Trial t is trial t of a TrialKernel, one codeword group per
+     * rank, scored by countSdcPairs.  Trials are sharded across the
+     * engine (nullptr = the global one); the per-shard partials are
      * integer counters merged in shard order, so the event count and
      * the per-trial histogram are bit-identical at any thread count.
      * tests/test_determinism.cc enforces this.
@@ -196,8 +170,6 @@ class SdcModel
                                         int trials, std::uint64_t seed,
                                         SimEngine *engine
                                         = nullptr) const;
-
-    const SdcModelConfig &config() const { return config_; }
 
   private:
     /** Rate (per hour) of faults of type t across the machine. */

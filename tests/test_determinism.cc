@@ -3,7 +3,8 @@
  * Determinism proofs for every parallel kernel (ctest label
  * `determinism`): golden values plus N-thread-vs-1-thread equality
  * for the SDC-event Monte Carlo, the sharded scrubber, the functional
- * memory's data plane, and the mix simulation batch.
+ * memory's data plane, the lifetime Monte Carlo, and the mix
+ * simulation batch.
  *
  * Two kinds of test:
  *
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -36,6 +38,7 @@
 #include "dram/dram_params.hh"
 #include "engine/sim_engine.hh"
 #include "faults/fault_matrix.hh"
+#include "faults/lifetime_mc.hh"
 #include "reliability/sdc_model.hh"
 
 namespace arcc
@@ -77,17 +80,18 @@ TEST(McSdcDeterminism, BitIdenticalAcrossThreadCounts)
 
 TEST(McSdcDeterminism, GoldenValuesOnTheGlobalEngine)
 {
-    // Golden counters for (years=7, boost=2000, trials=300, seed=99).
-    // The global engine's size comes from ARCC_THREADS: CI runs this
-    // at 1 and 4 threads and both must reproduce these numbers.
+    // Golden counters for (years=7, boost=2000, trials=300, seed=99),
+    // drawn by the shared trial kernel.  The global engine's size
+    // comes from ARCC_THREADS: CI runs this at 1 and 4 threads and
+    // both must reproduce these numbers.
     McSdcResult r = runMc(nullptr);
     EXPECT_EQ(r.trials, 300u);
-    EXPECT_EQ(r.events, 78u);
-    EXPECT_EQ(r.faultsSampled, 151545u);
+    EXPECT_EQ(r.events, 63u);
+    EXPECT_EQ(r.faultsSampled, 151382u);
     std::array<std::uint64_t, McSdcResult::kHistogramBins> hist{
-        232, 61, 4, 3, 0, 0, 0, 0};
+        242, 53, 5, 0, 0, 0, 0, 0};
     EXPECT_EQ(r.eventHistogram, hist);
-    EXPECT_DOUBLE_EQ(r.eventsPerTrial(), 78.0 / 300.0);
+    EXPECT_DOUBLE_EQ(r.eventsPerTrial(), 63.0 / 300.0);
 }
 
 TEST(McSdcDeterminism, ScalarEntryPointMatchesDetailed)
@@ -441,6 +445,46 @@ TEST(ArccMemoryDeterminism, RawStorageGolden)
                              FaultKind::StuckAt0, 0xff, 1, 0, 33)},
             13),
         3118032291u);
+}
+
+// --- fleet lifetime Monte Carlo ------------------------------------------
+
+TEST(LifetimeMcDeterminism, GoldenCurvesOnTheGlobalEngine)
+{
+    // Golden CRC-32C over the bit patterns of both lifetime curves:
+    // Figure 3.1's affected fraction and Figures 7.4-7.6's cumulative
+    // overhead.  The global engine's size comes from ARCC_THREADS: CI
+    // runs this at 1 and 4 threads and both must reproduce the digest.
+    LifetimeMcConfig cfg;
+    cfg.channels = 2048;
+    cfg.years = 7.0;
+    cfg.gridPerYear = 12;
+    cfg.seed = 2013;
+    cfg.rates = FaultRates::fieldStudy().scaled(10.0);
+    LifetimeMc mc(cfg);
+
+    // Wider footprints cost more; a channel whose faults sum past the
+    // cap saturates there.
+    PerTypeOverhead overhead{};
+    for (FaultType t : allFaultTypes())
+        overhead[static_cast<int>(t)] = 0.1 * (static_cast<int>(t) + 1);
+    const double cap = 0.5;
+
+    const AffectedCurve curve = mc.affectedFraction();
+    const std::vector<double> capped =
+        mc.cumulativeOverheadByYear(overhead, cap);
+    ASSERT_EQ(curve.avgFraction.size(), 84u);
+    ASSERT_EQ(capped.size(), 7u);
+    EXPECT_LT(capped.back(),
+              mc.cumulativeOverheadByYear(overhead, 1e9).back())
+        << "the cap must bind";
+
+    Crc32c crc;
+    for (const std::vector<double> *curve_values :
+         {&curve.timeYears, &curve.avgFraction, &capped})
+        for (double v : *curve_values)
+            crcU64(crc, std::bit_cast<std::uint64_t>(v));
+    EXPECT_EQ(crc.value(), 2566121978u);
 }
 
 // --- mix simulation batch ----------------------------------------------

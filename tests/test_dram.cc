@@ -9,7 +9,6 @@
 #include "common/units.hh"
 #include "dram/channel_shard.hh"
 #include "dram/dram_params.hh"
-#include "dram/mem_controller.hh"
 
 namespace arcc
 {
@@ -141,39 +140,45 @@ TEST(MemChannel, QueueBackpressureDelaysAdmission)
     EXPECT_GT(last, 15 * cfg.device.tRC * cfg.device.tCK - 1e-9);
 }
 
+// --- the memory system: an AddressMap plus a ChannelSet ------------------
+
 TEST(MemorySystem, PairedAccessTouchesBothChannelsInLockstep)
 {
-    MemorySystem mem(arccConfig());
-    double t_paired = mem.access(0.0, 0, false, true);
+    const MemoryConfig cfg = arccConfig();
+    const AddressMap map(cfg, MapPolicy::HiPerf);
+    ChannelSet mem(cfg, ControllerConfig{}, {0, 1});
+    double t_paired = mem.accessPaired(0.0, map.decode(0),
+                                       map.decode(kLineBytes), false);
     EXPECT_GT(t_paired, 0.0);
     EXPECT_EQ(mem.accesses(), 2u); // one access in each channel.
 }
 
 TEST(MemorySystem, PairedCompletionNotEarlierThanUnpaired)
 {
-    MemorySystem a(arccConfig());
-    MemorySystem b(arccConfig());
-    double unpaired = a.access(0.0, 0, false, false);
-    double paired = b.access(0.0, 0, false, true);
+    const MemoryConfig cfg = arccConfig();
+    const AddressMap map(cfg, MapPolicy::HiPerf);
+    ChannelSet a(cfg, ControllerConfig{}, {0, 1});
+    ChannelSet b(cfg, ControllerConfig{}, {0, 1});
+    double unpaired = a.access(0.0, map.decode(0), false);
+    double paired = b.accessPaired(0.0, map.decode(0),
+                                   map.decode(kLineBytes), false);
     EXPECT_GE(paired, unpaired - 1e-9);
 }
 
 TEST(MemorySystem, ArrivalOrderMonotonicityHolds)
 {
-    MemorySystem mem(arccConfig());
-    double prev = 0.0;
+    const MemoryConfig cfg = arccConfig();
+    const AddressMap map(cfg, MapPolicy::HiPerf);
+    ChannelSet mem(cfg, ControllerConfig{}, {0, 1});
     Rng rng(5);
     double now = 0.0;
     for (int i = 0; i < 500; ++i) {
         now += rng.uniform() * 10.0;
-        std::uint64_t addr =
-            rng.below(mem.map().capacity() / 64) * 64;
-        double done = mem.access(now, addr, rng.chance(0.3), false);
-        EXPECT_GE(done, now);
+        std::uint64_t addr = rng.below(map.capacity() / 64) * 64;
+        double done = mem.access(now, map.decode(addr), rng.chance(0.3));
         // Completions need not be monotonic across banks, but must
         // never precede their arrival.
-        prev = done;
-        (void)prev;
+        EXPECT_GE(done, now);
     }
 }
 
@@ -181,13 +186,19 @@ TEST(MemorySystem, ArrivalOrderMonotonicityHolds)
 
 TEST(MemorySystem, DynamicEnergyScalesWithDevicesPerAccess)
 {
-    MemorySystem base(baselineConfig());
-    MemorySystem ar(arccConfig());
+    const MemoryConfig base_cfg = baselineConfig();
+    const MemoryConfig ar_cfg = arccConfig();
+    const AddressMap base_map(base_cfg, MapPolicy::HiPerf);
+    const AddressMap ar_map(ar_cfg, MapPolicy::HiPerf);
+    ChannelSet base(base_cfg, ControllerConfig{}, {0, 1});
+    ChannelSet ar(ar_cfg, ControllerConfig{}, {0, 1});
     // Identical request streams.
     double t = 0.0;
     for (int i = 0; i < 1000; ++i) {
-        base.access(t, static_cast<std::uint64_t>(i) * 64 * 257 % (1 << 28), false, false);
-        ar.access(t, static_cast<std::uint64_t>(i) * 64 * 257 % (1 << 28), false, false);
+        std::uint64_t addr =
+            static_cast<std::uint64_t>(i) * 64 * 257 % (1 << 28);
+        base.access(t, base_map.decode(addr), false);
+        ar.access(t, ar_map.decode(addr), false);
         t += 60.0;
     }
     base.finalize(t);
@@ -202,8 +213,10 @@ TEST(MemorySystem, DynamicEnergyScalesWithDevicesPerAccess)
 
 TEST(MemorySystem, BackgroundEnergyAccruesWithTime)
 {
-    MemorySystem mem(arccConfig());
-    mem.access(0.0, 0, false, false);
+    const MemoryConfig cfg = arccConfig();
+    const AddressMap map(cfg, MapPolicy::HiPerf);
+    ChannelSet mem(cfg, ControllerConfig{}, {0, 1});
+    mem.access(0.0, map.decode(0), false);
     mem.finalize(1e6); // 1 ms idle tail.
     PowerBreakdown p = mem.breakdown();
     EXPECT_GT(p.backgroundNj, 0.0);
@@ -218,8 +231,9 @@ TEST(MemorySystem, PowerDownCutsIdleBackgroundPower)
     ControllerConfig no_pd;
     no_pd.enablePowerDown = false;
 
-    MemorySystem a(arccConfig(), MapPolicy::HiPerf, with_pd);
-    MemorySystem b(arccConfig(), MapPolicy::HiPerf, no_pd);
+    const MemoryConfig cfg = arccConfig();
+    ChannelSet a(cfg, with_pd, {0, 1});
+    ChannelSet b(cfg, no_pd, {0, 1});
     a.finalize(1e7);
     b.finalize(1e7);
     EXPECT_LT(a.breakdown().backgroundNj,
@@ -359,13 +373,19 @@ TEST(MemoryConfigChannelsDeathTest, IndivisibleRowSplitIsFatal)
 
 TEST(ChannelSet, MatchesMemorySystemRequestForRequest)
 {
-    // The facade is now implemented on ChannelSet; drive a ChannelSet
-    // over all channels with pre-decoded coordinates and require
-    // bit-identical completions and power to MemorySystem.
-    MemoryConfig cfg = arccConfig();
-    MemorySystem sys(cfg);
-    ChannelSet set(cfg, ControllerConfig{}, {0, 1});
-    const AddressMap &map = sys.map();
+    // The back-end split: one ChannelSet over every channel against
+    // ChannelShardPlan's per-group sets, each request routed to the
+    // group owning its channel.  Channels share no state, so the
+    // split must reproduce the single set request for request.
+    const MemoryConfig cfg = arccConfig4();
+    const AddressMap map(cfg, MapPolicy::HiPerf);
+    const ChannelShardPlan plan(map, /*pairable=*/true);
+    ASSERT_EQ(plan.groups(), 2u);
+    ChannelSet all(cfg, ControllerConfig{}, {0, 1, 2, 3});
+    std::vector<ChannelSet> shards;
+    shards.reserve(plan.groups());
+    for (std::size_t g = 0; g < plan.groups(); ++g)
+        shards.emplace_back(cfg, ControllerConfig{}, plan.group(g));
 
     Rng rng(11);
     double now = 0.0;
@@ -376,21 +396,29 @@ TEST(ChannelSet, MatchesMemorySystemRequestForRequest)
         std::uint64_t addr =
             rng.below(map.capacity() / kUpgradedLineBytes) *
             kUpgradedLineBytes;
-        double via_sys = sys.access(now, addr, is_write, paired);
-        double via_set;
+        DramCoord a = map.decode(addr);
+        ChannelSet &shard = shards[plan.groupOf(a.channel)];
         if (paired) {
-            via_set = set.accessPaired(now, map.decode(addr),
-                                       map.decode(addr + kLineBytes),
-                                       is_write);
+            DramCoord b = map.decode(addr + kLineBytes);
+            EXPECT_EQ(all.accessPaired(now, a, b, is_write),
+                      shard.accessPaired(now, a, b, is_write));
         } else {
-            via_set = set.access(now, map.decode(addr), is_write);
+            EXPECT_EQ(all.access(now, a, is_write),
+                      shard.access(now, a, is_write));
         }
-        EXPECT_EQ(via_sys, via_set);
+        std::uint64_t split_accesses = 0;
+        for (const ChannelSet &s : shards)
+            split_accesses += s.accesses();
+        EXPECT_EQ(all.accesses(), split_accesses);
     }
-    sys.finalize(now);
-    set.finalize(now);
-    EXPECT_EQ(sys.accesses(), set.accesses());
-    EXPECT_EQ(sys.breakdown().totalNj(), set.breakdown().totalNj());
+    all.finalize(now);
+    double split_nj = 0.0;
+    for (ChannelSet &s : shards) {
+        EXPECT_GT(s.accesses(), 0u);
+        s.finalize(now);
+        split_nj += s.breakdown().totalNj();
+    }
+    EXPECT_DOUBLE_EQ(all.breakdown().totalNj(), split_nj);
 }
 
 TEST(ChannelSet, RejectsCoordinatesItDoesNotOwn)
@@ -408,13 +436,18 @@ TEST(MemorySystem, PairedAccessFallsBackUnderBaseMap)
 {
     // The Base map keeps adjacent lines in one channel: a paired
     // access degrades to two sequential accesses instead of asserting.
-    MemorySystem mem(arccConfig(), MapPolicy::Base);
-    double done = mem.access(0.0, 0, false, /*paired=*/true);
+    const MemoryConfig cfg = arccConfig();
+    const AddressMap base(cfg, MapPolicy::Base);
+    ChannelSet mem(cfg, ControllerConfig{}, {0, 1});
+    double done = mem.accessPaired(0.0, base.decode(0),
+                                   base.decode(kLineBytes), false);
     EXPECT_GT(done, 0.0);
     EXPECT_EQ(mem.accesses(), 2u);
 
-    MemorySystem lockstep(arccConfig(), MapPolicy::HiPerf);
-    double parallel = lockstep.access(0.0, 0, false, true);
+    const AddressMap hiperf(cfg, MapPolicy::HiPerf);
+    ChannelSet lockstep(cfg, ControllerConfig{}, {0, 1});
+    double parallel = lockstep.accessPaired(
+        0.0, hiperf.decode(0), hiperf.decode(kLineBytes), false);
     EXPECT_GT(done, parallel)
         << "without channel interleaving the pair serialises "
            "(Section 4.1's requirement)";

@@ -1,14 +1,18 @@
 /**
  * @file
- * Fault-model tests: rates, Table 7.4 page fractions, sampling.
+ * Fault-model tests: rates, Table 7.4 page fractions, sampling, the
+ * trial kernel and the lifetime Monte Carlo.
  */
 
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 #include "common/rng.hh"
 #include "common/units.hh"
 #include "faults/fault_model.hh"
 #include "faults/lifetime_mc.hh"
+#include "faults/trial_kernel.hh"
 
 namespace arcc
 {
@@ -142,6 +146,177 @@ TEST(FaultSampler, EventsAreSortedAndInRange)
     }
 }
 
+// --- trial kernel -------------------------------------------------------
+
+ConcreteFault
+concreteFault(FaultType type, int group, int device, int bank = 0,
+              int row = 0, int col = 0, double hours = 0.0)
+{
+    ConcreteFault f;
+    f.timeHours = hours;
+    f.type = type;
+    f.group = group;
+    f.device = device;
+    f.bank = bank;
+    f.row = row;
+    f.col = col;
+    return f;
+}
+
+TEST(TrialKernel, LaneFaultOverlapsAnything)
+{
+    // Another group, the same device, every coordinate different.
+    const ConcreteFault lane =
+        concreteFault(FaultType::Lane, 0, 3, 1, 2, 3);
+    for (FaultType t : allFaultTypes()) {
+        const ConcreteFault other = concreteFault(t, 1, 3, 4, 5, 6);
+        EXPECT_TRUE(faultsOverlap(lane, other)) << toString(t);
+        EXPECT_TRUE(faultsOverlap(other, lane)) << toString(t);
+    }
+}
+
+TEST(TrialKernel, SameDeviceOrDifferentGroupsNeverOverlap)
+{
+    for (FaultType a : allFaultTypes()) {
+        for (FaultType b : allFaultTypes()) {
+            if (a == FaultType::Lane || b == FaultType::Lane)
+                continue;
+            SCOPED_TRACE(std::string(toString(a)) + "/" + toString(b));
+            EXPECT_FALSE(faultsOverlap(concreteFault(a, 0, 5),
+                                       concreteFault(b, 0, 5)));
+            EXPECT_FALSE(faultsOverlap(concreteFault(a, 0, 5),
+                                       concreteFault(b, 1, 6)));
+            // Control: two devices of one group at equal coordinates.
+            EXPECT_TRUE(faultsOverlap(concreteFault(a, 0, 5),
+                                      concreteFault(b, 0, 6)));
+        }
+    }
+}
+
+TEST(TrialKernel, CoordinatesMatterOnlyWhereBothFootprintsAreConfined)
+{
+    enum Dim { Bank, Row, Col };
+    struct Case
+    {
+        FaultType a;
+        FaultType b;
+        Dim differs;
+        bool overlap;
+    };
+    using F = FaultType;
+    const Case cases[] = {
+        {F::Device, F::Device, Bank, true},
+        {F::Device, F::Bit, Bank, true},
+        {F::Bank, F::Bank, Bank, false},
+        {F::Bank, F::Bank, Row, true},
+        {F::Bank, F::Bit, Row, true},
+        {F::Bank, F::Column, Col, true},
+        {F::Column, F::Column, Col, false},
+        {F::Column, F::Column, Row, true},
+        {F::Column, F::Row, Bank, false},
+        {F::Column, F::Row, Row, true},
+        {F::Column, F::Row, Col, true},
+        {F::Column, F::Bit, Col, false},
+        {F::Column, F::Bit, Row, true},
+        {F::Row, F::Row, Row, false},
+        {F::Row, F::Row, Col, true},
+        {F::Row, F::Word, Row, false},
+        {F::Row, F::Word, Col, true},
+        {F::Word, F::Bit, Col, false},
+        {F::Bit, F::Bit, Bank, false},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(toString(c.a)) + "/" + toString(c.b) +
+                     " differing in dim " + std::to_string(c.differs));
+        const ConcreteFault x = concreteFault(c.a, 0, 0, 1, 2, 3);
+        ConcreteFault y = concreteFault(c.b, 0, 1, 1, 2, 3);
+        int *coord[] = {&y.bank, &y.row, &y.col};
+        ++*coord[c.differs];
+        EXPECT_EQ(faultsOverlap(x, y), c.overlap);
+        EXPECT_EQ(faultsOverlap(y, x), c.overlap);
+    }
+}
+
+TEST(TrialKernel, WindowedScanEndsAtTheFirstFaultsDetection)
+{
+    // The scrub finds a fault arriving at hour 1 at the end of the
+    // first 4-hour scrub period.
+    const double scrub = 4.0;
+    const double detect = 4.0;
+    const ConcreteFault first =
+        concreteFault(FaultType::Device, 0, 0, 0, 0, 0, 1.0);
+    const ConcreteFault just_before = concreteFault(
+        FaultType::Device, 0, 1, 0, 0, 0, std::nextafter(detect, 0.0));
+    const ConcreteFault at_detect =
+        concreteFault(FaultType::Device, 0, 1, 0, 0, 0, detect);
+    const ConcreteFault inside[] = {first, just_before};
+    const ConcreteFault outside[] = {first, at_detect};
+    EXPECT_EQ(countSdcPairs(inside, scrub), 1u);
+    EXPECT_EQ(countSdcPairs(outside, scrub), 0u);
+    EXPECT_EQ(countDuePairs(inside), 1u);
+    EXPECT_EQ(countDuePairs(outside), 1u);
+}
+
+void
+expectSameEvent(const FaultEvent &a, const FaultEvent &b)
+{
+    EXPECT_EQ(a.timeHours, b.timeHours);
+    EXPECT_EQ(a.type, b.type);
+    EXPECT_EQ(a.rank, b.rank);
+    EXPECT_EQ(a.bank, b.bank);
+    EXPECT_EQ(a.half, b.half);
+    EXPECT_EQ(a.device, b.device);
+}
+
+TEST(TrialKernel, EventsAreTheSamplersOnTheTrialStream)
+{
+    // LifetimeMc draws histories only and the campaign concretises
+    // them too; both must see FaultSampler::sampleLifetime on
+    // Rng::stream(seed, t), so the footprints draw after the history.
+    const DomainGeometry geom;
+    const FaultRates rates = FaultRates::fieldStudy().scaled(500.0);
+    const double hours = 5 * kHoursPerYear;
+    const FaultSampler sampler(geom, rates);
+    const TrialKernel histories(geom, rates, hours, 77);
+    const TrialKernel footprints(geom, rates, hours, 77,
+                                 {18, 8192, 1024});
+    Trial a;
+    Trial b;
+    for (std::uint64_t t : {0ULL, 1ULL, 2ULL, 1000ULL, 123456789ULL}) {
+        SCOPED_TRACE("trial " + std::to_string(t));
+        Rng rng = Rng::stream(77, t);
+        const std::vector<FaultEvent> expect =
+            sampler.sampleLifetime(hours, rng);
+        histories.draw(t, a);
+        footprints.draw(t, b);
+        ASSERT_FALSE(expect.empty());
+        ASSERT_EQ(a.events.size(), expect.size());
+        ASSERT_EQ(b.events.size(), expect.size());
+        EXPECT_TRUE(a.faults.empty());
+        ASSERT_EQ(b.faults.size(), expect.size());
+        for (std::size_t i = 0; i < expect.size(); ++i) {
+            expectSameEvent(a.events[i], expect[i]);
+            expectSameEvent(b.events[i], expect[i]);
+            const ConcreteFault &f = b.faults[i];
+            EXPECT_EQ(f.timeHours, expect[i].timeHours);
+            EXPECT_EQ(f.type, expect[i].type);
+            EXPECT_EQ(f.bank, expect[i].bank);
+            EXPECT_LT(f.group, 4);
+            EXPECT_LT(f.device, 18);
+            EXPECT_LT(f.row, 8192);
+            EXPECT_LT(f.col, 1024);
+        }
+    }
+}
+
+TEST(TrialKernelDeathTest, GroupingMustDivideTheDevices)
+{
+    EXPECT_EXIT(TrialKernel(DomainGeometry{}, FaultRates::fieldStudy(),
+                            kHoursPerYear, 1, {10, 8192, 1024}),
+                ::testing::ExitedWithCode(1),
+                "10 devices per group does not divide");
+}
+
 // --- lifetime Monte Carlo ----------------------------------------------
 
 TEST(LifetimeMc, AffectedFractionIsMonotoneAndMatchesAnalytic)
@@ -205,6 +380,26 @@ TEST(LifetimeMc, ZeroOverheadFaultsCostNothing)
     auto by_year = mc.cumulativeOverheadByYear(overhead, 1.0);
     for (double v : by_year)
         EXPECT_DOUBLE_EQ(v, 0.0);
+}
+
+TEST(LifetimeMcDeathTest, EmptyTimeGridIsFatal)
+{
+    // 0.2 years at 4 points per year has no grid point: the curve
+    // would be empty, and a negative gridPerYear would size it near
+    // 2^64.
+    LifetimeMcConfig cfg;
+    cfg.channels = 100;
+    cfg.years = 0.2;
+    cfg.gridPerYear = 4;
+    EXPECT_EXIT(LifetimeMc mc(cfg), ::testing::ExitedWithCode(1),
+                "years . gridPerYear must be at least 1");
+    cfg.years = 7.0;
+    for (int grid : {0, -3}) {
+        cfg.gridPerYear = grid;
+        EXPECT_EXIT(LifetimeMc mc(cfg), ::testing::ExitedWithCode(1),
+                    "gridPerYear must be at least 1, got " +
+                        std::to_string(grid));
+    }
 }
 
 TEST(LifetimeMc, DeterministicForAGivenSeed)
