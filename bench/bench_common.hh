@@ -149,46 +149,55 @@ struct ScenarioOverheads
     std::array<double, 4> perf{};
 };
 
+/** Jobs per mix in runScenarioGrid: the clean run first, then one
+ *  per Table 7.4 fault scenario in faultScenarios() order. */
+inline constexpr std::size_t kJobsPerMix = 5;
+
+/**
+ * Run the (mix x {clean, the four Table 7.4 faults}) grid on the ARCC
+ * configuration, submitted to the SimEngine as one simulateMixBatch.
+ * Results come back in mix order, kJobsPerMix per mix, so a reduction
+ * in that order is bit-identical at any thread count.
+ *
+ * @param mixes how many of the 12 mixes to run (all by default).
+ */
+inline std::vector<SimResult>
+runScenarioGrid(int mixes = 12)
+{
+    ARCC_ASSERT(mixes >= 1 &&
+                mixes <= static_cast<int>(table73Mixes().size()));
+    ARCC_ASSERT(faultScenarios().size() + 1 == kJobsPerMix);
+    const SystemConfig cfg = systemConfig(arccConfig());
+    std::vector<MixJob> jobs;
+    jobs.reserve(mixes * kJobsPerMix);
+    for (int m = 0; m < mixes; ++m) {
+        const WorkloadMix &mix = table73Mixes()[m];
+        jobs.push_back({mix, cfg, {}});
+        for (PageUpgradeOracle::Scenario s : faultScenarios())
+            jobs.push_back(
+                {mix, cfg, PageUpgradeOracle::forScenario(s, cfg.mem)});
+    }
+    return simulateMixBatch(jobs);
+}
+
 /**
  * Measure the mix-averaged overhead of each Table 7.4 scenario on the
- * ARCC configuration (methodology step 1 of Section 7.1).
- *
- * The whole (mix x {clean, 4 scenarios}) grid is submitted to the
- * SimEngine as one simulateMixBatch and reduced in mix order, so the
- * averages are bit-identical at any thread count.
+ * ARCC configuration (methodology step 1 of Section 7.1), reducing
+ * runScenarioGrid in mix order.
  *
  * @param mixes how many of the 12 mixes to average (all by default).
  */
 inline ScenarioOverheads
 measureScenarioOverheads(int mixes = 12)
 {
-    ARCC_ASSERT(mixes >= 1 &&
-                mixes <= static_cast<int>(table73Mixes().size()));
-    const SystemConfig cfg = systemConfig(arccConfig());
-    const std::size_t scenarios = faultScenarios().size();
-    // ScenarioOverheads and the sums below are fixed-size arrays.
-    ARCC_ASSERT(scenarios == 4);
-    const std::size_t per_mix = scenarios + 1; // clean job first.
-
-    std::vector<MixJob> jobs;
-    jobs.reserve(mixes * per_mix);
-    for (int m = 0; m < mixes; ++m) {
-        const WorkloadMix &mix = table73Mixes()[m];
-        jobs.push_back({mix, cfg, {}});
-        for (std::size_t s = 0; s < scenarios; ++s)
-            jobs.push_back({mix, cfg,
-                            PageUpgradeOracle::forScenario(
-                                faultScenarios()[s], cfg.mem)});
-    }
-    std::vector<SimResult> results = simulateMixBatch(jobs);
-
+    const std::vector<SimResult> results = runScenarioGrid(mixes);
     ScenarioOverheads out;
     std::array<double, 4> power_sum{};
     std::array<double, 4> perf_sum{};
     for (int m = 0; m < mixes; ++m) {
-        const SimResult &clean = results[m * per_mix];
-        for (std::size_t s = 0; s < scenarios; ++s) {
-            const SimResult &r = results[m * per_mix + 1 + s];
+        const SimResult &clean = results[m * kJobsPerMix];
+        for (std::size_t s = 0; s < 4; ++s) {
+            const SimResult &r = results[m * kJobsPerMix + 1 + s];
             power_sum[s] += r.avgPowerMw / clean.avgPowerMw - 1.0;
             perf_sum[s] += 1.0 - r.ipcSum / clean.ipcSum;
         }
@@ -198,6 +207,20 @@ measureScenarioOverheads(int mixes = 12)
         out.perf[s] = perf_sum[s] / mixes;
     }
     return out;
+}
+
+/**
+ * Emit one paper shape check as a {"bench":"shape"} row and return
+ * its verdict.  The figure benches exit nonzero when any check fails,
+ * so a `NO` fails the binary (and CI) instead of only being printed.
+ */
+inline bool
+shapeRow(const std::string &figure, const std::string &check, bool pass)
+{
+    jsonRow("shape", {{"figure", "\"" + figure + "\""},
+                      {"check", "\"" + check + "\""},
+                      {"pass", pass ? "true" : "false"}});
+    return pass;
 }
 
 /**

@@ -1,15 +1,14 @@
 /**
  * @file
  * Trace-replay bench: stream binary trace workloads through the
- * channel-sharded system simulator at 2, 4, and 8 channels.
+ * system simulator at 2, 4, and 8 channels.
  *
  * Captures the Table 7.3 Mix9 streams once into binary trace files
  * (deterministic: fixed seed), then replays them via TraceStream --
  * O(chunk) resident memory -- through simulateStreams on each channel
- * width.  The JSON rows track the IPC / power / traffic of each width
- * per PR, and CI's 1-vs-N-thread diff enforces the determinism
- * contract over the widened shard fan (at 8 channels the back-end
- * runs 8 shards, the widest in the tree).
+ * width.  The JSON rows track the IPC / power / traffic of each width,
+ * plus the ChannelShardPlan group count (`shards`: 8 at 8 channels),
+ * and CI's 1-vs-N-thread diff requires them to be bit-identical.
  *
  * `replay_maccess_s` (wall-clock trace throughput) is normalised away
  * by the CI diff like bench_ecc's msym_s.
@@ -52,7 +51,7 @@ captureCore(const std::filesystem::path &dir, const SystemConfig &cfg,
 int
 main()
 {
-    printBanner("Trace replay across the channel shard fan");
+    printBanner("Trace replay at 2, 4 and 8 channels");
 
     SystemConfig cfg;
     cfg.mem = arccConfig();

@@ -1,6 +1,6 @@
 /**
  * @file
- * Trace workloads through the channel-sharded system simulator.
+ * Trace workloads through the system simulator.
  *
  * The paper drives its memory system with M5-captured SPEC traces;
  * this walkthrough shows the equivalent pipeline here:
@@ -11,7 +11,7 @@
  *     (textTraceFileToBinary) -- 16 bytes per access;
  *  3. replay them through simulateStreams via traceStreamSpec, which
  *     streams the binary file in O(chunk) resident memory, at 2, 4,
- *     and 8 memory channels to widen the back-end shard fan;
+ *     and 8 memory channels;
  *  4. mix a trace-driven core with live synthetic cores in one run.
  *
  * With trace files of your own, pass up to four paths on the command
@@ -59,7 +59,7 @@ captureCore(const std::filesystem::path &dir, const SystemConfig &cfg,
 int
 main(int argc, char **argv)
 {
-    printBanner("Trace replay through the channel-sharded simulator");
+    printBanner("Trace replay through the system simulator");
 
     SystemConfig cfg;
     cfg.mem = arccConfig();
@@ -104,10 +104,9 @@ main(int argc, char **argv)
         bins.push_back(bin);
     }
 
-    // Step 3: replay at 2 / 4 / 8 channels.  The ChannelShardPlan
-    // turns each channel (group) into one back-end shard, so the
-    // wider configs fan the replay out over more engine workers --
-    // bit-identically at any thread count.
+    // Step 3: replay at 2 / 4 / 8 channels.  The Shards column is the
+    // ChannelShardPlan's group count: how many independent channel
+    // groups the traffic of each width splits into.
     std::printf("\n");
     TextTable t;
     t.header({"Channels", "Shards", "IPC sum", "Elapsed us",

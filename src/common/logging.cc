@@ -6,6 +6,8 @@
 #include "common/logging.hh"
 
 #include <cstdarg>
+#include <cstdio>
+#include <cstdlib>
 
 namespace arcc
 {
@@ -78,7 +80,11 @@ fatal(const char *fmt, ...)
     va_start(args, fmt);
     vlogMessage(LogLevel::Fatal, fmt, args);
     va_end(args);
-    std::exit(1);
+    // Not std::exit: that runs static destructors, and the global
+    // SimEngine's destructor joins its workers -- a deadlock (or an
+    // abort) when fatal() is called on one of them.
+    std::fflush(nullptr);
+    std::_Exit(1);
 }
 
 void

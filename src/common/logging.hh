@@ -5,7 +5,9 @@
  * panic()  -- an internal invariant of the simulator was violated; this
  *             is a bug in the library itself.  Aborts.
  * fatal()  -- the simulation cannot continue because of a user-supplied
- *             configuration or argument.  Exits with status 1.
+ *             configuration or argument.  Flushes stdio and exits
+ *             with status 1 without running static destructors, so
+ *             it is safe on an engine worker thread.
  * warn()   -- something is not modelled as faithfully as it could be but
  *             the simulation can continue.
  * inform() -- a purely informational status message.
@@ -52,7 +54,8 @@ void logMessage(LogLevel level, const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
 /**
- * Report an unrecoverable user error and exit(1).  Never returns.
+ * Report an unrecoverable user error, flush stdio and _Exit(1).  Never
+ * returns.
  */
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));

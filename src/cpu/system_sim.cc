@@ -1,12 +1,13 @@
 /**
  * @file
- * System simulator implementation: the decoupled front-end /
- * channel-sharded back-end pipeline (see the header for the design).
+ * System simulator implementation: the core + LLC + channel
+ * co-simulation loop (see the header for the design).
  */
 
 #include "cpu/system_sim.hh"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "arcc/scrubber.hh"
@@ -114,72 +115,11 @@ PageUpgradeOracle::name(Scenario s)
 }
 
 // ---------------------------------------------------------------------
-// simulateStreams: the sharded pipeline
+// simulateStreams: the co-simulation loop
 // ---------------------------------------------------------------------
 
 namespace
 {
-
-/** One recorded LLC access of one core (phase 1). */
-struct RecordedAccess
-{
-    std::uint64_t addr = 0;
-    /** Full width: capping would desynchronise the recorded budget
-     *  from the front-end's replayed one. */
-    std::uint64_t instrGap = 0;
-    bool isWrite = false;
-};
-
-/** One memory request the front-end hands a channel shard. */
-struct ChannelRequest
-{
-    double arrival = 0.0;
-    DramCoord a;
-    /** Second sub-line of a paired access (unused otherwise). */
-    DramCoord b;
-    /** Completion slot index; slots are globally unique, so the shard
-     *  that owns this request writes the slot without synchronising. */
-    std::uint32_t slot = 0;
-    bool isWrite = false;
-    bool paired = false;
-};
-
-/** The per-core timing ledger one front-end pass produces. */
-struct CoreLedger
-{
-    /** Compute time + hit latencies + replacement charges (ns): the
-     *  part of the core's finish time that memory cannot change. */
-    double fixedNs = 0.0;
-    std::uint64_t instrs = 0;
-    std::uint64_t llcAccesses = 0;
-    std::uint64_t llcMisses = 0;
-    /** (completion slot, arrival ns) of every demand miss, in order. */
-    std::vector<std::pair<std::uint32_t, double>> misses;
-};
-
-/** Everything one front-end pass produces. */
-struct FrontendPass
-{
-    /** Arrival-ordered request stream of each channel shard group. */
-    std::vector<std::vector<ChannelRequest>> groupRequests;
-    std::vector<CoreLedger> cores;
-    std::uint32_t slots = 0;
-    /** Estimated end of the run (max estimated core finish, ns); the
-     *  shards keep injecting scrub traffic until this time. */
-    double estEndNs = 0.0;
-    std::uint64_t memReads = 0;
-    std::uint64_t memWrites = 0;
-    LlcStats llcStats;
-};
-
-/** What one back-end shard returns through reduceShards. */
-struct ShardPartial
-{
-    /** The shard's channel state (on the heap: partials move). */
-    std::unique_ptr<ChannelSet> set;
-    std::uint64_t scrubReads = 0;
-    std::uint64_t scrubWrites = 0;
-};
 
 /**
  * Per-channel background-scrub state: walks the channel's coordinate
@@ -191,8 +131,7 @@ struct ShardPartial
  * outstanding request, so an unsustainably short period degrades to
  * continuous scrubbing instead of an unbounded request backlog --
  * and per-channel arrival order stays non-decreasing, which the
- * channel model requires.  Pure function of the configuration --
- * every shard derives the same cadence.
+ * channel model requires.  Pure function of the configuration.
  */
 struct ScrubCursor
 {
@@ -260,230 +199,24 @@ struct ScrubCursor
     }
 };
 
-/**
- * Record each core's access stream up to the instruction budget.  The
- * generators are pure per-core sequences (timing never feeds back),
- * so one recording serves every latency-feedback pass.
- */
-std::vector<std::vector<RecordedAccess>>
-recordTraces(std::vector<StreamSpec> &streams,
-             const SystemConfig &config)
+/** One core's position in its stream. */
+struct CoreState
 {
-    std::vector<std::vector<RecordedAccess>> traces(streams.size());
-    for (std::size_t i = 0; i < streams.size(); ++i) {
-        std::uint64_t instrs = 0;
-        do {
-            CoreWorkload::Access a = streams[i].next();
-            traces[i].push_back({a.addr, a.instrGap, a.isWrite});
-            instrs += a.instrGap;
-        } while (instrs < config.instrsPerCore);
-    }
-    return traces;
-}
-
-/**
- * One front-end pass: the core + LLC event loop with per-core
- * estimated miss latencies, emitting the channel request streams.
- */
-FrontendPass
-runFrontend(const std::vector<std::vector<RecordedAccess>> &traces,
-            const std::vector<StreamSpec> &specs,
-            const SystemConfig &config, const PageUpgradeOracle &oracle,
-            const AddressMap &map, const ChannelShardPlan &plan,
-            const std::vector<double> &estLatencyNs)
-{
-    const double cycle_ns = 1.0 / config.cpuGhz;
-    const std::uint64_t capacity = map.capacity();
-    const int n = static_cast<int>(traces.size());
-
-    FrontendPass fe;
-    fe.groupRequests.resize(plan.groups());
-    fe.cores.resize(n);
-
-    std::unique_ptr<BaseLlc> llc;
-    if (config.sectoredLlc)
-        llc = std::make_unique<SectoredLlc>(config.llc);
-    else
-        llc = std::make_unique<PairedTagLlc>(config.llc);
-
-    auto emit = [&](double now, std::uint64_t addr, bool is_write,
-                    bool paired) {
-        ChannelRequest rq;
-        rq.arrival = now;
-        rq.isWrite = is_write;
-        rq.paired = paired;
-        if (paired) {
-            std::uint64_t base = addr & ~(kUpgradedLineBytes - 1);
-            rq.a = map.decode(base);
-            rq.b = map.decode(base + kLineBytes);
-            ARCC_ASSERT(plan.groupOf(rq.a.channel) ==
-                        plan.groupOf(rq.b.channel));
-        } else {
-            rq.a = map.decode(addr);
-        }
-        rq.slot = fe.slots++;
-        fe.groupRequests[plan.groupOf(rq.a.channel)].push_back(rq);
-        return rq.slot;
-    };
-
-    struct CoreState
-    {
-        double readyAt = 0.0;
-        std::size_t idx = 0;
-        bool done = false;
-    };
-    std::vector<CoreState> cores(n);
-    for (int i = 0; i < n; ++i) {
-        cores[i].readyAt =
-            static_cast<double>(traces[i][0].instrGap) /
-            specs[i].baseIpc * cycle_ns;
-        fe.cores[i].fixedNs = cores[i].readyAt;
-    }
-
-    int active = n;
-    while (active > 0) {
-        // Pick the core whose pending access is earliest so every
-        // channel sees non-decreasing arrival times.
-        int ci = -1;
-        double best = 0.0;
-        for (int i = 0; i < n; ++i) {
-            if (cores[i].done)
-                continue;
-            if (ci < 0 || cores[i].readyAt < best) {
-                ci = i;
-                best = cores[i].readyAt;
-            }
-        }
-        CoreState &core = cores[ci];
-        CoreLedger &ledger = fe.cores[ci];
-        const RecordedAccess &acc = traces[ci][core.idx];
-        double now = core.readyAt;
-
-        std::uint64_t addr = acc.addr % capacity;
-        bool upgraded = oracle.upgraded(addr);
-        LlcOutcome out = llc->access(addr, acc.isWrite, upgraded);
-
-        ++ledger.llcAccesses;
-        ledger.fixedNs += config.llc.hitLatencyNs;
-        double done_at = now + config.llc.hitLatencyNs;
-        if (!out.hit) {
-            ++ledger.llcMisses;
-            // Dirty evictions go to memory without stalling the core.
-            for (const Writeback &wb : out.writebacks) {
-                emit(now, wb.addr % capacity, /*is_write=*/true,
-                     wb.paired);
-                ++fe.memWrites;
-                if (wb.paired)
-                    ++fe.memWrites; // both sub-lines hit the bus.
-            }
-            std::uint32_t slot =
-                emit(now, addr, /*is_write=*/false, upgraded);
-            ++fe.memReads;
-            if (upgraded)
-                ++fe.memReads;
-            ledger.misses.emplace_back(slot, now);
-            // Estimated stall; the merge replaces it with the stall
-            // the shard replay actually measures.
-            done_at +=
-                estLatencyNs[ci] * (1.0 - config.stallOverlap);
-        }
-        if (out.replaced) {
-            done_at += config.llc.secondTagAccessNs;
-            ledger.fixedNs += config.llc.secondTagAccessNs;
-        }
-
-        ledger.instrs += acc.instrGap;
-        fe.estEndNs = std::max(fe.estEndNs, done_at);
-
-        if (ledger.instrs >= config.instrsPerCore) {
-            core.done = true;
-            --active;
-            continue;
-        }
-
-        ++core.idx;
-        const RecordedAccess &next = traces[ci][core.idx];
-        double gap_ns = static_cast<double>(next.instrGap) /
-                        specs[ci].baseIpc * cycle_ns;
-        core.readyAt = done_at + gap_ns;
-        ledger.fixedNs += gap_ns;
-    }
-
-    fe.llcStats = llc->stats();
-    return fe;
-}
-
-/**
- * One back-end shard: replay the group's request stream (merged with
- * its channels' scrub streams) through a private ChannelSet, writing
- * completions into this shard's disjoint slots.
- */
-ShardPartial
-replayShard(const SystemConfig &config, const AddressMap &map,
-            const ChannelShardPlan &plan, std::size_t group,
-            const std::vector<ChannelRequest> &requests,
-            double est_end_ns, std::vector<double> &completions)
-{
-    ShardPartial partial;
-    partial.set = std::make_unique<ChannelSet>(config.mem, config.ctrl,
-                                               plan.group(group));
-    ChannelSet &set = *partial.set;
-
-    const bool scrub_on = config.backgroundScrub.enabled;
-    const int accesses_per_line = Scrubber::accessesPerLine(
-        config.backgroundScrub.testPatterns);
-    std::vector<ScrubCursor> cursors;
-    if (scrub_on)
-        for (int channel : plan.group(group))
-            cursors.emplace_back(channel, config, map);
-
-    // Issue the cursor's next scrub access: the pattern passes of one
-    // line alternate read/write and self-pace on their completions.
-    auto step = [&](ScrubCursor &cur) {
-        bool is_write = (cur.subIdx % 2) == 1;
-        double completion =
-            set.access(cur.nextAt, cur.coord, is_write);
-        if (is_write)
-            ++partial.scrubWrites;
-        else
-            ++partial.scrubReads;
-        cur.issued(completion, accesses_per_line);
-    };
-    // The earliest-due cursor (ties broken by vector order, which is
-    // ascending channel id -- deterministic).
-    auto dueCursor = [&](double before) -> ScrubCursor * {
-        ScrubCursor *due = nullptr;
-        for (ScrubCursor &cur : cursors)
-            if (cur.nextAt <= before &&
-                (!due || cur.nextAt < due->nextAt))
-                due = &cur;
-        return due;
-    };
-
-    for (const ChannelRequest &rq : requests) {
-        if (scrub_on)
-            while (ScrubCursor *cur = dueCursor(rq.arrival))
-                step(*cur);
-        completions[rq.slot] =
-            rq.paired
-                ? set.accessPaired(rq.arrival, rq.a, rq.b, rq.isWrite)
-                : set.access(rq.arrival, rq.a, rq.isWrite);
-    }
-    // Keep scrubbing through the rest of the run window: the traffic
-    // is gone but the power (and the sweep cadence) is not.
-    if (scrub_on)
-        while (ScrubCursor *cur = dueCursor(est_end_ns))
-            step(*cur);
-
-    return partial;
-}
+    /** Time the pending access reaches the LLC (ns). */
+    double readyAt = 0.0;
+    CoreWorkload::Access pending;
+    std::uint64_t instrs = 0;
+    std::uint64_t llcAccesses = 0;
+    std::uint64_t llcMisses = 0;
+    bool done = false;
+};
 
 } // anonymous namespace
 
 SimResult
 simulateStreams(std::vector<StreamSpec> streams,
                 const SystemConfig &config,
-                const PageUpgradeOracle &oracle, SimEngine *engine)
+                const PageUpgradeOracle &oracle)
 {
     if (config.cores < 1)
         fatal("simulateStreams: config.cores must be >= 1, got %d",
@@ -495,116 +228,144 @@ simulateStreams(std::vector<StreamSpec> streams,
         config.backgroundScrub.periodHours <= 0.0)
         fatal("simulateStreams: backgroundScrub.periodHours must be "
               "> 0, got %g", config.backgroundScrub.periodHours);
-    if (!engine)
-        engine = &SimEngine::global();
 
     const double cycle_ns = 1.0 / config.cpuGhz;
-    AddressMap map(config.mem, config.mapPolicy);
-    ChannelShardPlan plan(map, oracle.mayUpgrade());
+    const int n = config.cores;
+    const AddressMap map(config.mem, config.mapPolicy);
+    const std::uint64_t capacity = map.capacity();
 
-    // Phase 1: draw every core's access stream once.
-    std::vector<std::vector<RecordedAccess>> traces =
-        recordTraces(streams, config);
+    std::vector<int> ids(config.mem.channels);
+    std::iota(ids.begin(), ids.end(), 0);
+    ChannelSet channels(config.mem, config.ctrl, std::move(ids));
 
-    std::vector<double> est_latency(
-        streams.size(), config.mem.device.unloadedReadLatencyNs());
+    std::unique_ptr<BaseLlc> llc;
+    if (config.sectoredLlc)
+        llc = std::make_unique<SectoredLlc>(config.llc);
+    else
+        llc = std::make_unique<PairedTagLlc>(config.llc);
 
-    // The decoupled model is a fixed point: the front-end spaces
-    // arrivals by the estimated miss latency, the replay measures the
-    // latency those arrivals produce.  Iterate (damped -- a saturated
-    // channel oscillates undamped) until the measurement agrees with
-    // the estimate, so the reported timeline is self-consistent: the
-    // stalls the merge charges are the stalls the arrival spacing
-    // actually caused.  The loop is pure arithmetic on deterministic
-    // values, so the pass count never depends on the thread count.
-    const int passes = std::max(1, config.latencyPasses);
-    constexpr double kLatencyTolerance = 0.05;
-    FrontendPass fe;
-    std::vector<double> completions;
-    std::vector<ShardPartial> partials;
-    for (int pass = 0; pass < passes; ++pass) {
-        // Phase 2: the serial core + LLC loop.
-        fe = runFrontend(traces, streams, config, oracle, map, plan,
-                         est_latency);
-        completions.assign(fe.slots, 0.0);
-
-        // Phase 3: one shard per channel group, bit-identical at any
-        // thread count (fixed boundaries, disjoint completion slots,
-        // shard-order merge).
-        partials = engine->reduceShards(
-            plan.groups(), 1,
-            [&](const ShardRange &shard) {
-                return replayShard(config, map, plan, shard.begin,
-                                   fe.groupRequests[shard.begin],
-                                   fe.estEndNs, completions);
-            },
-            [](std::vector<ShardPartial> &&p) { return std::move(p); });
-
-        if (pass + 1 == passes)
-            break;
-        double worst_residual = 0.0;
-        for (std::size_t i = 0; i < fe.cores.size(); ++i) {
-            const CoreLedger &ledger = fe.cores[i];
-            if (ledger.misses.empty())
-                continue;
-            double sum = 0.0;
-            for (const auto &[slot, arrival] : ledger.misses)
-                sum += completions[slot] - arrival;
-            double measured =
-                sum / static_cast<double>(ledger.misses.size());
-            worst_residual =
-                std::max(worst_residual,
-                         std::abs(measured - est_latency[i]) /
-                             est_latency[i]);
-            est_latency[i] = 0.5 * (est_latency[i] + measured);
-        }
-        if (worst_residual < kLatencyTolerance)
-            break;
-    }
-
-    // Phase 4: merge, in shard / core order on the calling thread.
     SimResult res;
-    res.cores.resize(streams.size());
-    double max_finish = 0.0;
-    for (std::size_t i = 0; i < streams.size(); ++i) {
-        const CoreLedger &ledger = fe.cores[i];
-        double finish = ledger.fixedNs;
-        for (const auto &[slot, arrival] : ledger.misses)
-            finish += (completions[slot] - arrival) *
-                      (1.0 - config.stallOverlap);
-        CoreResult &core = res.cores[i];
-        core.benchmark = streams[i].name;
-        // The recording phase drew the whole stream, so a trace's lap
-        // counter is final by now.
-        core.traceLaps = streams[i].laps ? streams[i].laps() : 0;
-        core.instrs = ledger.instrs;
-        core.ipc = static_cast<double>(ledger.instrs) /
-                   (finish / cycle_ns);
-        core.llcAccesses = ledger.llcAccesses;
-        core.llcMisses = ledger.llcMisses;
-        res.ipcSum += core.ipc;
-        max_finish = std::max(max_finish, finish);
+    // Issue one demand access at `now`; returns its data-ready time.
+    auto issue = [&](double now, std::uint64_t addr, bool is_write,
+                     bool paired) {
+        if (!paired)
+            return channels.access(now, map.decode(addr), is_write);
+        std::uint64_t base = addr & ~(kUpgradedLineBytes - 1);
+        return channels.accessPaired(now, map.decode(base),
+                                     map.decode(base + kLineBytes),
+                                     is_write);
+    };
+
+    const int accesses_per_line =
+        Scrubber::accessesPerLine(config.backgroundScrub.testPatterns);
+    std::vector<ScrubCursor> cursors;
+    if (config.backgroundScrub.enabled)
+        for (int c = 0; c < config.mem.channels; ++c)
+            cursors.emplace_back(c, config, map);
+    // Issue every scrub access due by `until`, earliest first (ties to
+    // the lower channel).  The pattern passes of one line alternate
+    // read/write and self-pace on their completions.
+    auto scrubUntil = [&](double until) {
+        for (;;) {
+            ScrubCursor *due = nullptr;
+            for (ScrubCursor &cur : cursors)
+                if (cur.nextAt <= until &&
+                    (!due || cur.nextAt < due->nextAt))
+                    due = &cur;
+            if (!due)
+                return;
+            bool is_write = (due->subIdx % 2) == 1;
+            double completion =
+                channels.access(due->nextAt, due->coord, is_write);
+            ++(is_write ? res.scrubWrites : res.scrubReads);
+            due->issued(completion, accesses_per_line);
+        }
+    };
+
+    // Draw core i's next access; returns the compute time before it.
+    std::vector<CoreState> cores(n);
+    auto draw = [&](int i) {
+        cores[i].pending = streams[i].next();
+        return static_cast<double>(cores[i].pending.instrGap) /
+               streams[i].baseIpc * cycle_ns;
+    };
+    for (int i = 0; i < n; ++i)
+        cores[i].readyAt = draw(i);
+
+    // One event loop in global time order: the earliest pending access
+    // goes next (ties to the lower core), so every channel sees its
+    // arrivals in non-decreasing order and each miss stalls its core on
+    // the completion the channel model returned for it.  A finished
+    // core's readyAt is its finish time.
+    for (;;) {
+        int ci = -1;
+        for (int i = 0; i < n; ++i)
+            if (!cores[i].done &&
+                (ci < 0 || cores[i].readyAt < cores[ci].readyAt))
+                ci = i;
+        if (ci < 0)
+            break;
+        CoreState &core = cores[ci];
+        const double now = core.readyAt;
+
+        std::uint64_t addr = core.pending.addr % capacity;
+        bool upgraded = oracle.upgraded(addr);
+        LlcOutcome out =
+            llc->access(addr, core.pending.isWrite, upgraded);
+
+        ++core.llcAccesses;
+        double done_at = now + config.llc.hitLatencyNs;
+        if (!out.hit) {
+            ++core.llcMisses;
+            scrubUntil(now);
+            // Dirty evictions go to memory without stalling the core.
+            for (const Writeback &wb : out.writebacks) {
+                issue(now, wb.addr % capacity, /*is_write=*/true,
+                      wb.paired);
+                res.memWrites += wb.paired ? 2 : 1;
+            }
+            double completion =
+                issue(now, addr, /*is_write=*/false, upgraded);
+            res.memReads += upgraded ? 2 : 1;
+            done_at +=
+                (completion - now) * (1.0 - config.stallOverlap);
+        }
+        if (out.replaced)
+            done_at += config.llc.secondTagAccessNs;
+
+        core.instrs += core.pending.instrGap;
+        if (core.instrs >= config.instrsPerCore) {
+            core.readyAt = done_at;
+            core.done = true;
+        } else {
+            core.readyAt = done_at + draw(ci);
+        }
     }
 
-    // The run ends when the last core retires its budget, exactly as
-    // in the pre-sharding event loop; queue drain beyond that point
-    // (already converged to near zero by the latency fixed point)
-    // accrues its activity at commit time and needs no window.
-    double end_time = max_finish;
-    for (ShardPartial &partial : partials) {
-        partial.set->finalize(end_time);
-        const PowerBreakdown &p = partial.set->breakdown();
-        res.power.dynamicNj += p.dynamicNj;
-        res.power.backgroundNj += p.backgroundNj;
-        res.power.refreshNj += p.refreshNj;
-        res.scrubReads += partial.scrubReads;
-        res.scrubWrites += partial.scrubWrites;
+    // The run ends when the last core retires its budget.  Scrubbing
+    // continues to that point: the traffic is gone but the power (and
+    // the sweep cadence) is not.
+    double end_ns = 0.0;
+    res.cores.resize(n);
+    for (int i = 0; i < n; ++i) {
+        const CoreState &core = cores[i];
+        CoreResult &result = res.cores[i];
+        result.benchmark = streams[i].name;
+        result.traceLaps = streams[i].laps ? streams[i].laps() : 0;
+        result.instrs = core.instrs;
+        result.ipc =
+            static_cast<double>(core.instrs) / (core.readyAt / cycle_ns);
+        result.llcAccesses = core.llcAccesses;
+        result.llcMisses = core.llcMisses;
+        res.ipcSum += result.ipc;
+        end_ns = std::max(end_ns, core.readyAt);
     }
-    res.elapsedNs = end_time;
-    res.avgPowerMw = res.power.avgPowerMw(end_time);
-    res.llcStats = fe.llcStats;
-    res.memReads = fe.memReads;
-    res.memWrites = fe.memWrites;
+    scrubUntil(end_ns);
+    channels.finalize(end_ns);
+    res.power = channels.breakdown();
+    res.elapsedNs = end_ns;
+    res.avgPowerMw = res.power.avgPowerMw(end_ns);
+    res.llcStats = llc->stats();
     return res;
 }
 
@@ -614,16 +375,12 @@ simulateMixBatch(const std::vector<MixJob> &jobs, SimEngine *engine)
     if (!engine)
         engine = &SimEngine::global();
     // Shard-reduce with one job per shard: the partials vector the
-    // merge receives *is* the result list in job order.  Each job's
-    // own channel shards run nested on the same engine (the worker
-    // executes queued shards while it waits, so this cannot
-    // deadlock).
+    // merge receives *is* the result list in job order.
     return engine->reduceShards(
         jobs.size(), 1,
         [&](const ShardRange &shard) {
             const MixJob &job = jobs[shard.begin];
-            return simulateMix(job.mix, job.config, job.oracle,
-                               engine);
+            return simulateMix(job.mix, job.config, job.oracle);
         },
         [](std::vector<SimResult> &&results) {
             return std::move(results);
@@ -647,7 +404,7 @@ syntheticStreamSpec(const std::string &benchmark,
 
 SimResult
 simulateMix(const WorkloadMix &mix, const SystemConfig &config,
-            const PageUpgradeOracle &oracle, SimEngine *engine)
+            const PageUpgradeOracle &oracle)
 {
     if (static_cast<int>(mix.benchmarks.size()) != config.cores)
         fatal("mix '%s' has %zu benchmarks but config.cores is %d",
@@ -660,7 +417,7 @@ simulateMix(const WorkloadMix &mix, const SystemConfig &config,
         streams.push_back(syntheticStreamSpec(
             mix.benchmarks[i], map.capacity(), i,
             mixCoreSeed(config.seed, i)));
-    return simulateStreams(std::move(streams), config, oracle, engine);
+    return simulateStreams(std::move(streams), config, oracle);
 }
 
 } // namespace arcc

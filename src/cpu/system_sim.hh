@@ -11,36 +11,33 @@
  * mix is reported as the sum of the per-core IPCs, exactly as the
  * paper reports it.
  *
- * ## The sharded pipeline
+ * ## The co-simulation loop
  *
- * Since PR 4 the simulator is a decoupled two-plane pipeline built on
- * `SimEngine::reduceShards`, replacing the original serial event
- * loop:
+ * One event loop advances every core in global time order, as the
+ * paper's M5 + DRAM model does:
  *
- *  1. **Record** -- each core's LLC access stream is drawn once from
- *     its StreamSpec generator.  The streams are pure per-core
- *     sequences (timing never feeds back into them), which is what
- *     makes the phases separable.
- *  2. **Front-end (serial)** -- the core + LLC event loop runs with a
- *     per-core *estimated* memory latency and emits each miss /
- *     writeback / eviction as a timestamped request into the stream
- *     of the channel group that owns its DRAM coordinates.
- *  3. **Back-end (sharded)** -- each shard owns one ChannelShardPlan
- *     group (a disjoint set of channels; paired 128B sub-lines always
- *     land in one group) and replays its request stream through a
- *     private ChannelSet, interleaving background-scrub traffic when
- *     enabled.  Shards write completions into disjoint slots.
- *  4. **Merge (shard order)** -- per-core stalls are rebuilt from the
- *     actual completions, the channel power partials are folded in
- *     group order, and the measured per-core miss latency seeds the
- *     next front-end pass (SystemConfig::latencyPasses).
+ *  1. the core whose pending access is earliest goes next (ties go to
+ *     the lowest core index), and draws its following access from its
+ *     StreamSpec generator only when it gets there -- nothing is
+ *     recorded, so memory use does not grow with the budget;
+ *  2. the access runs through the shared LLC; a miss first issues
+ *     every background-scrub access due by now, then the dirty
+ *     writebacks, then the demand fetch, all to one ChannelSet over
+ *     every channel;
+ *  3. the core stalls for (completion - now) x (1 - stallOverlap) on
+ *     the completion that ChannelSet returned for its own fetch.
  *
- * Shard boundaries depend only on the address map and the upgrade
- * oracle -- never on the thread count -- so the reported result is
- * bit-identical at 1 thread and at 64 (tests/test_determinism.cc
- * enforces this).  The latency feedback makes the decoupled model
- * self-throttling: pass 1 discovers each core's loaded miss latency,
- * pass 2 re-runs the front-end with arrivals spaced accordingly.
+ * ChannelSet is reservation-based (dram/mem_controller.hh): it
+ * returns a request's completion the moment the request is issued,
+ * provided each channel sees its arrivals in non-decreasing order --
+ * which the time-ordered loop guarantees and ChannelSet asserts.  The
+ * reported timeline is therefore exact for the model: no estimate,
+ * no feedback passes.  The run ends when the last core retires its
+ * budget, and background scrubbing runs up to that point.
+ *
+ * The loop is serial and deterministic; the parallelism lives one
+ * level up, in simulateMixBatch, which fans whole jobs out across
+ * the SimEngine's workers.
  */
 
 #ifndef ARCC_CPU_SYSTEM_SIM_HH
@@ -107,9 +104,9 @@ class PageUpgradeOracle
 
     /**
      * @return true when *any* page can be upgraded, i.e. paired 128B
-     * traffic can occur.  The channel shard plan keys off this: with
-     * no paired traffic every channel is its own shard; with paired
-     * traffic the channels a pair spans must share a shard.
+     * traffic can occur.  ChannelShardPlan keys off this: with no
+     * paired traffic every channel is its own group; with paired
+     * traffic the channels a pair spans must share a group.
      */
     bool mayUpgrade() const { return expected_ > 0.0; }
 
@@ -128,8 +125,8 @@ class PageUpgradeOracle
 /**
  * Background scrubbing interleaved with traffic (Section 4.2.2).
  *
- * When enabled, every channel's back-end replay stream carries the
- * paper's test-pattern scrub sweep as real DRAM traffic: each 64B
+ * When enabled, every channel carries the paper's test-pattern scrub
+ * sweep as real DRAM traffic, up to the end of the run: each 64B
  * line of the channel is visited once per `periodHours`, and a visit
  * issues `Scrubber::accessesPerLine(testPatterns)` alternating
  * read/write accesses, each self-paced on the previous one's
@@ -140,14 +137,6 @@ class PageUpgradeOracle
  * reported IPC degradation is *measured* contention, complementing
  * the closed-form `Scrubber::bandwidthFraction` model (the
  * examples/background_scrub.cpp walkthrough compares the two).
- *
- * The injection window is the front-end's *estimated* run end, while
- * SimResult::elapsedNs is the measured one.  At the latency fixed
- * point's convergence the two agree within its tolerance, so the
- * scrub counters and scrub power are consistent with the reported
- * timeline; under `latencyPasses = 1` (open loop, or when a
- * saturated run exhausts the pass budget) the windows can deviate
- * accordingly -- one more reason the iterated default is preferred.
  */
 struct BackgroundScrubConfig
 {
@@ -181,16 +170,10 @@ struct SystemConfig
     /** Fraction of each memory stall hidden by the OoO window. */
     double stallOverlap = 0.3;
     /**
-     * Maximum front-end/back-end latency-feedback passes (>= 1).
-     * Pass 1 spaces arrivals by the unloaded DRAM latency; each
-     * further pass re-runs the front-end with a damped update toward
-     * the per-core miss latency *measured* by the previous back-end
-     * replay, and the loop exits early once measurement and estimate
-     * agree within 5% -- the reported timeline is then
-     * self-consistent (the stalls charged are the stalls the arrival
-     * spacing caused).  Lightly loaded runs settle in 2-3 passes;
-     * saturated ones use the full budget.  1 is the fastest
-     * (open-loop) setting.
+     * Unread: the simulator makes one exact pass (see the file
+     * comment), so every value gives the same result.  Kept so code
+     * that sets it -- such as the benchmark's pass probe, which then
+     * reads 1 -- still builds.
      */
     int latencyPasses = 6;
     /** Background scrubbing interleaved with the traffic. */
@@ -237,13 +220,9 @@ struct SimResult
  * @param mix    exactly config.cores benchmarks.
  * @param config simulation knobs.
  * @param oracle page upgrade decisions.
- * @param engine engine the back-end shards run on; nullptr uses the
- *               global one.  The result is bit-identical at any
- *               thread count.
  */
 SimResult simulateMix(const WorkloadMix &mix, const SystemConfig &config,
-                      const PageUpgradeOracle &oracle,
-                      SimEngine *engine = nullptr);
+                      const PageUpgradeOracle &oracle);
 
 /** One self-contained simulation job for the batched entry point. */
 struct MixJob
@@ -316,19 +295,17 @@ StreamSpec syntheticStreamSpec(const std::string &benchmark,
 
 /**
  * Run config.cores arbitrary access streams (synthetic, trace replay,
- * or a mixture) through the sharded system model described in the
- * file header.  simulateMix is this plus the Table 7.3 generators.
+ * or a mixture) through the co-simulation loop described in the file
+ * header, on the calling thread.  simulateMix is this plus the Table
+ * 7.3 generators.
  *
  * @param streams exactly config.cores entries; each generator must
  *                keep producing accesses until its core retires
  *                config.instrsPerCore instructions.
- * @param engine  engine the channel shards run on; nullptr uses the
- *                global one.
  */
 SimResult simulateStreams(std::vector<StreamSpec> streams,
                           const SystemConfig &config,
-                          const PageUpgradeOracle &oracle,
-                          SimEngine *engine = nullptr);
+                          const PageUpgradeOracle &oracle);
 
 } // namespace arcc
 

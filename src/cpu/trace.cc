@@ -404,9 +404,10 @@ captureSyntheticTrace(const std::string &benchmark,
     if (!out)
         fatal("cannot create trace file '%s'", path.c_str());
 
-    // One writer or the other; the capture loop below is the same
-    // do/while as recordTraces in system_sim.cc -- the closure
-    // depends on the two terminating on the same record.
+    // One writer or the other.  The capture loop stops on the same
+    // record as simulateStreams, which draws a core's next access
+    // only while the core's budget is not yet covered -- the closure
+    // depends on the two terminating together.
     std::uint64_t count = 0;
     auto capture = [&](auto &writer) {
         std::uint64_t instrs = 0;

@@ -226,7 +226,7 @@ traceStreamSpec(const std::string &path, double baseIpc,
 /**
  * Capture one synthetic benchmark stream into a trace file covering
  * `instrBudget` instructions.  The capture loop draws *exactly* the
- * access sequence simulateStreams' record phase consumes for the same
+ * access sequence simulateStreams consumes for the same
  * (benchmark, memBytes, coreId, seed, budget), so replaying the file
  * reproduces the live generator's SimResult bit for bit -- the
  * capture/replay closure (tests/test_property_trace.cc) -- and the

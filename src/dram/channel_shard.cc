@@ -18,7 +18,7 @@ ChannelSet::ChannelSet(const MemoryConfig &config,
                        const ControllerConfig &ctrl,
                        std::vector<int> channels)
     : config_(config), ids_(std::move(channels)),
-      index_(config.channels, -1)
+      index_(config.channels, -1), lastArrival_(ids_.size(), 0.0)
 {
     std::sort(ids_.begin(), ids_.end());
     for (std::size_t i = 0; i < ids_.size(); ++i) {
@@ -38,16 +38,21 @@ ChannelSet::owns(int channel) const
 }
 
 MemChannel &
-ChannelSet::chan(int id)
+ChannelSet::arrive(int id, double now)
 {
     ARCC_ASSERT(owns(id));
+    double &last = lastArrival_[index_[id]];
+    ARCC_ASSERT_MSG(now >= last,
+                    "channel %d: arrival %.3f ns after one at %.3f ns",
+                    id, now, last);
+    last = now;
     return *channels_[index_[id]];
 }
 
 double
 ChannelSet::access(double now, const DramCoord &coord, bool is_write)
 {
-    MemResponse r = chan(coord.channel)
+    MemResponse r = arrive(coord.channel, now)
                         .schedule(now, coord, is_write,
                                   config_.devicesPerAccess);
     return r.completion;
@@ -62,7 +67,7 @@ ChannelSet::accessPaired(double now, const DramCoord &a,
         // cannot fetch the pair in parallel; the 128B line costs two
         // sequential accesses on the one channel, which is exactly why
         // Section 4.1 requires the interleaved maps.
-        MemChannel &ch = chan(a.channel);
+        MemChannel &ch = arrive(a.channel, now);
         MemResponse r1 =
             ch.schedule(now, a, is_write, config_.devicesPerAccess);
         MemResponse r2 =
@@ -72,8 +77,8 @@ ChannelSet::accessPaired(double now, const DramCoord &a,
 
     // The two sub-lines issue in lockstep (Section 4.2.4): a common
     // ACT time no earlier than either channel allows.
-    MemChannel &cha = chan(a.channel);
-    MemChannel &chb = chan(b.channel);
+    MemChannel &cha = arrive(a.channel, now);
+    MemChannel &chb = arrive(b.channel, now);
     double t = std::max(cha.earliestIssue(now, a, true),
                         chb.earliestIssue(now, b, true));
     MemResponse ra =

@@ -1,13 +1,14 @@
 /**
  * @file
- * Channel-sharded DRAM timing state: the memory system's one front
- * door, and the per-channel half of the system simulator's
- * shard-reduce split.
+ * DRAM channel state: ChannelSet, the memory system's one front
+ * door, and ChannelShardPlan, a partition of the channels into groups
+ * that no access crosses.
  *
  *  - ChannelSet owns the MemChannel timing/power state for a set of
- *    the system's channels -- all of them, or one shard's group --
- *    and carries the paired (upgraded 128B) lockstep-issue logic.
- *    Callers decode addresses with their own AddressMap.
+ *    the system's channels -- all of them (the system simulator), or
+ *    one shard's group -- and carries the paired (upgraded 128B)
+ *    lockstep-issue logic.  Callers decode addresses with their own
+ *    AddressMap.
  *
  *  - ChannelShardPlan partitions the channel ids into shard groups
  *    such that every access -- including a paired access, whose two
@@ -35,10 +36,11 @@ namespace arcc
  * The DRAM timing and power state of a disjoint set of channels.
  *
  * A ChannelSet accepts pre-decoded coordinates (the caller owns the
- * AddressMap) whose channel ids must belong to the set; arrival times
- * must be non-decreasing across calls, exactly as for MemChannel.
- * One shard of the sharded system simulator owns one ChannelSet, so
- * no lock is ever needed: shards touch disjoint channel state.
+ * AddressMap) whose channel ids must belong to the set.  Each
+ * channel's arrival times must be non-decreasing across calls, as
+ * MemChannel's reservation model requires; the set asserts it.  A set
+ * is single-threaded: callers that shard traffic across threads give
+ * each shard its own set over a disjoint group of channels.
  */
 class ChannelSet
 {
@@ -84,13 +86,17 @@ class ChannelSet
     const std::vector<int> &channels() const { return ids_; }
 
   private:
-    MemChannel &chan(int id);
+    /** The owned channel `id`, after asserting that `now` is not
+     *  earlier than that channel's previous arrival. */
+    MemChannel &arrive(int id, double now);
 
     const MemoryConfig &config_;
     std::vector<int> ids_;
     /** Dense lookup: global channel id -> index into channels_, or -1. */
     std::vector<int> index_;
     std::vector<std::unique_ptr<MemChannel>> channels_;
+    /** Latest arrival per owned channel, indexed like channels_. */
+    std::vector<double> lastArrival_;
 };
 
 /**

@@ -157,18 +157,18 @@ MemoryConfig lotEcc9Config();
 /**
  * Re-provision a configuration with a different channel count,
  * scaling the capacity with it (per-channel geometry is unchanged).
- * The paper's machine has 2 channels; the wider variants exist to fan
- * the channel-sharded system simulator out past 2 back-end shards.
+ * The paper's machine has 2 channels; the wider variants exercise the
+ * system simulator and ChannelShardPlan past 2 channels.
  * fatal() when the paper's 2-pages-per-row row (Section 7.1) cannot
  * split evenly over the requested channels.
  */
 MemoryConfig withChannels(MemoryConfig base, int channels);
 
-/** arccConfig() widened to 4 channels (4 back-end shard groups
+/** arccConfig() widened to 4 channels (4 ChannelShardPlan groups
  *  unpairable, 2 pairable). */
 MemoryConfig arccConfig4();
 
-/** arccConfig() widened to 8 channels (8 back-end shard groups
+/** arccConfig() widened to 8 channels (8 ChannelShardPlan groups
  *  unpairable, 4 pairable). */
 MemoryConfig arccConfig8();
 

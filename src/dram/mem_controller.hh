@@ -4,12 +4,12 @@
  * decode addresses with an AddressMap (dram/address_map.hh) and drive
  * the channels through a ChannelSet (dram/channel_shard.hh).
  *
- * The model is a reservation-based FCFS simulator: requests must be
- * presented in non-decreasing arrival-time order (the system simulator
- * guarantees this) and each request immediately reserves the earliest
- * feasible ACT slot on its bank and data-burst slot on the channel bus,
- * honouring tRC, tRRD, tRCD, CL/CWL, bus occupancy, read/write
- * turnaround, and a bounded request queue.  With a closed-page policy
+ * The model is a reservation-based FCFS simulator: each channel's
+ * requests must be presented in non-decreasing arrival-time order
+ * (ChannelSet asserts this) and each request immediately reserves the
+ * earliest feasible ACT slot on its bank and data-burst slot on the
+ * channel bus, honouring tRC, tRRD, tRCD, CL/CWL, bus occupancy,
+ * read/write turnaround, and a bounded request queue.  With a closed-page policy
  * and in-order issue this reproduces event-driven results exactly.
  *
  * Upgraded (128B) ARCC lines are *paired* accesses: the two 64B

@@ -4,10 +4,9 @@
  * engines and the bench scenario sweeps.
  *
  * The engine splits N independent items (Monte Carlo trials, (mix,
- * scenario) simulation jobs, scrub page ranges, the system
- * simulator's channel groups) into fixed-size shards and runs the
- * shards on a work-stealing thread pool.  Determinism is a design
- * invariant, not an accident:
+ * scenario) simulation jobs, scrub page ranges) into fixed-size
+ * shards and runs the shards on a work-stealing thread pool.
+ * Determinism is a design invariant, not an accident:
  *
  *  - shard boundaries depend only on the item count and the shard
  *    size, never on the worker count, so the floating-point reduction
@@ -23,9 +22,8 @@
  * The calling thread participates: while a sharded call is in flight
  * it executes queued shards itself, so a zero-worker engine is simply
  * a deterministic sequential loop and nested sharded calls cannot
- * deadlock the pool.  simulateMixBatch relies on this: each batched
- * job runs its own channel-sharded back-end nested on the same
- * engine.
+ * deadlock the pool -- a shard body may itself call into an engine
+ * (tests/test_engine.cc pins this).
  *
  * docs/ARCHITECTURE.md documents the shard-reduce contract every
  * user of this engine honours.

@@ -351,14 +351,13 @@ SimService::computeBody(const ServiceRequest &req) const
 
     SimResult res;
     if (req.kind == ServiceRequestKind::Mix) {
-        res = simulateMix(mixByName(req.mix), cfg, oracle, engine_);
+        res = simulateMix(mixByName(req.mix), cfg, oracle);
         body += "mix";
     } else {
         std::vector<StreamSpec> streams;
         for (const std::string &path : req.tracePaths)
             streams.push_back(traceStreamSpec(path, /*baseIpc=*/1.0));
-        res = simulateStreams(std::move(streams), cfg, oracle,
-                              engine_);
+        res = simulateStreams(std::move(streams), cfg, oracle);
         body += "trace";
     }
     body += "\",\"request_hash\":" + std::to_string(req.hash());

@@ -91,7 +91,9 @@ class SimService
         /** Evaluation worker threads (>= 1): the in-flight bound. */
         int workers = 2;
         ResponseCache::Options cache;
-        /** Engine the simulations run on; nullptr = global(). */
+        /** Engine campaign requests shard their trials on; nullptr =
+         *  global().  Mix and trace requests are one serial
+         *  simulation each, run on the evaluating worker. */
         SimEngine *engine = nullptr;
     };
 

@@ -7,7 +7,8 @@
  * batch -- perform *zero* heap allocations once their workspaces are
  * warm.
  * This binary replaces the global operator new/delete with counting
- * wrappers and measures allocation deltas across the hot regions.
+ * wrappers and measures allocation deltas across the hot regions, and
+ * live-byte peaks across whole simulations.
  *
  * Assertions are collected into plain flags inside the measured
  * regions (a failing gtest assertion allocates its message, which
@@ -22,6 +23,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <malloc.h>
 #include <new>
 #include <span>
 #include <string>
@@ -32,6 +34,7 @@
 #include "arcc/scrubber.hh"
 #include "arcc/vecc.hh"
 #include "common/rng.hh"
+#include "cpu/system_sim.hh"
 #include "cpu/trace.hh"
 #include "ecc/gf256_simd.hh"
 #include "ecc/reed_solomon.hh"
@@ -41,6 +44,39 @@ namespace
 
 std::atomic<std::uint64_t> g_allocs{0};
 std::atomic<std::uint64_t> g_allocBytes{0};
+/** Bytes held by live operator-new blocks, and their high-water mark
+ *  (malloc_usable_size, so frees subtract what allocs added). */
+std::atomic<std::int64_t> g_liveBytes{0};
+std::atomic<std::int64_t> g_peakBytes{0};
+
+void *
+countedAlloc(std::size_t size)
+{
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    g_allocBytes.fetch_add(size, std::memory_order_relaxed);
+    void *p = std::malloc(size ? size : 1);
+    if (!p)
+        throw std::bad_alloc();
+    const std::int64_t bytes =
+        static_cast<std::int64_t>(malloc_usable_size(p));
+    const std::int64_t live =
+        g_liveBytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+    std::int64_t peak = g_peakBytes.load(std::memory_order_relaxed);
+    while (live > peak &&
+           !g_peakBytes.compare_exchange_weak(peak, live,
+                                              std::memory_order_relaxed))
+        ;
+    return p;
+}
+
+void
+countedFree(void *p)
+{
+    if (p)
+        g_liveBytes.fetch_sub(malloc_usable_size(p),
+                              std::memory_order_relaxed);
+    std::free(p);
+}
 
 } // anonymous namespace
 
@@ -50,45 +86,37 @@ std::atomic<std::uint64_t> g_allocBytes{0};
 void *
 operator new(std::size_t size)
 {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    g_allocBytes.fetch_add(size, std::memory_order_relaxed);
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
+    return countedAlloc(size);
 }
 
 void *
 operator new[](std::size_t size)
 {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    g_allocBytes.fetch_add(size, std::memory_order_relaxed);
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
+    return countedAlloc(size);
 }
 
 void
 operator delete(void *p) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 void
 operator delete[](void *p) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 void
 operator delete(void *p, std::size_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 void
 operator delete[](void *p, std::size_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 namespace arcc
@@ -410,6 +438,41 @@ TEST(AllocFree, TraceStreamReplayIsChunkBoundedNotFileBound)
     EXPECT_LT(stream_bytes, 64 * 1024u)
         << "TraceStream must hold one chunk, not the file";
     std::remove(path.c_str());
+}
+
+/** Peak live heap bytes a callable adds above the level it starts at. */
+template <class F>
+std::int64_t
+peakHeapIn(F &&body)
+{
+    const std::int64_t base = g_liveBytes.load(std::memory_order_relaxed);
+    g_peakBytes.store(base, std::memory_order_relaxed);
+    body();
+    return g_peakBytes.load(std::memory_order_relaxed) - base;
+}
+
+TEST(AllocFree, SimulateMixPeakHeapIsFlatInTheBudget)
+{
+    // The system simulator draws each access when its core reaches it
+    // and keeps no per-access record, so its heap is set by the
+    // configuration (LLC, channel state, generators), not by the run
+    // length: a 10x longer run peaks within 64 KiB of the short one.
+    SystemConfig cfg;
+    cfg.mem = arccConfig();
+    cfg.seed = 20130223;
+    const PageUpgradeOracle lane = PageUpgradeOracle::forScenario(
+        PageUpgradeOracle::Scenario::Lane, cfg.mem);
+    auto peakAt = [&](std::uint64_t instrs) {
+        cfg.instrsPerCore = instrs;
+        return peakHeapIn(
+            [&] { simulateMix(table73Mixes()[0], cfg, lane); });
+    };
+    const std::int64_t short_run = peakAt(200'000);
+    const std::int64_t long_run = peakAt(2'000'000);
+    EXPECT_GT(short_run, 0);
+    EXPECT_LE(std::abs(long_run - short_run), 64 * 1024)
+        << "peak heap " << short_run << " B at 200k instructions per "
+        << "core, " << long_run << " B at 2M";
 }
 
 } // namespace

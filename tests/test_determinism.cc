@@ -535,7 +535,7 @@ TEST(MixBatchDeterminism, BitIdenticalAcrossThreadCounts)
     }
 }
 
-// --- channel-sharded system simulator ----------------------------------
+// --- system simulator --------------------------------------------------
 
 /** Exact (bit-identical) equality of two whole-run outcomes. */
 void
@@ -563,7 +563,8 @@ expectEqual(const SimResult &a, const SimResult &b)
 }
 
 /**
- * One simulateMix run through the channel-sharded back-end: an
+ * One simulateMix run, submitted as a one-job simulateMixBatch so it
+ * runs on `engine`'s workers (nullptr: the global engine): an
  * upgraded-page scenario so paired traffic exercises the lockstep
  * path, optionally with background scrubbing interleaved (period
  * compressed so many sweep visits land inside the short run).
@@ -583,7 +584,8 @@ runStreamSim(SimEngine *engine, bool scrub)
     }
     auto oracle = PageUpgradeOracle::forScenario(
         PageUpgradeOracle::Scenario::Device, cfg.mem);
-    return simulateMix(table73Mixes()[8], cfg, oracle, engine);
+    return simulateMixBatch({{table73Mixes()[8], cfg, oracle}},
+                            engine)[0];
 }
 
 TEST(StreamSimDeterminism, BitIdenticalAcrossThreadCounts)
@@ -610,11 +612,11 @@ TEST(StreamSimDeterminism, GoldenCountersOnTheGlobalEngine)
     // robust to FP-contraction differences across toolchains.
     SimResult r = runStreamSim(nullptr, /*scrub=*/true);
     EXPECT_EQ(r.memReads, 12463u);
-    EXPECT_EQ(r.memWrites, 67u);
+    EXPECT_EQ(r.memWrites, 66u);
     EXPECT_EQ(r.llcStats.misses, 8635u);
-    EXPECT_EQ(r.scrubReads, 1620u);
-    EXPECT_EQ(r.scrubWrites, 1620u);
-    EXPECT_NEAR(r.ipcSum, 1.4397, 0.05);
+    EXPECT_EQ(r.scrubReads, 1368u);
+    EXPECT_EQ(r.scrubWrites, 1368u);
+    EXPECT_NEAR(r.ipcSum, 1.3889, 0.05);
 }
 
 TEST(StreamSimDeterminism, ScrubPerturbationIsDeterministicToo)
@@ -631,8 +633,7 @@ TEST(StreamSimDeterminism, ScrubPerturbationIsDeterministicToo)
     EXPECT_EQ(delta_a, delta_b);
     EXPECT_NE(delta_a, 0.0) << "scrub traffic must perturb the IPC";
     // (The *direction* of the perturbation under heavier scrub load
-    // is asserted with margin in test_system_sim.cc; near-threshold
-    // deltas may sit inside the latency fixed point's tolerance.)
+    // is asserted in test_system_sim.cc.)
 }
 
 // --- trace-driven simulateStreams at 4 and 8 channels -------------------
@@ -653,8 +654,9 @@ struct TempFiles
  * once into binary trace files (pure function of the seed), then
  * replay them through simulateStreams on an `channels`-wide ARCC
  * configuration.  At 4 channels a Device-fault oracle keeps paired
- * traffic in play (2 pairable shard groups); at 8 channels the clean
- * oracle shards per channel -- the widest fan in the tree (8 shards).
+ * traffic in play (ChannelShardPlan pairs the channels into 2
+ * groups); at 8 channels the clean oracle leaves every channel its
+ * own group (8).
  */
 SystemConfig
 traceSimConfig(int channels)
@@ -683,6 +685,8 @@ captureTraceFiles(const SystemConfig &cfg, const WorkloadMix &mix,
     }
 }
 
+/** One trace replay, run as the single index of a forEachIndex on
+ *  `engine` (nullptr: the global engine). */
 SimResult
 runTraceSim(SimEngine *engine, const SystemConfig &cfg,
             const WorkloadMix &mix, const TempFiles &files)
@@ -697,7 +701,12 @@ runTraceSim(SimEngine *engine, const SystemConfig &cfg,
     if (cfg.mem.channels == 4)
         oracle = PageUpgradeOracle::forScenario(
             PageUpgradeOracle::Scenario::Device, cfg.mem);
-    return simulateStreams(std::move(streams), cfg, oracle, engine);
+    SimResult r;
+    (engine ? *engine : SimEngine::global())
+        .forEachIndex(1, [&](std::uint64_t) {
+            r = simulateStreams(std::move(streams), cfg, oracle);
+        });
+    return r;
 }
 
 class TraceSimDeterminism : public ::testing::TestWithParam<int>
@@ -712,7 +721,7 @@ TEST_P(TraceSimDeterminism, BitIdenticalAcrossThreadCounts)
     TempFiles files;
     captureTraceFiles(cfg, mix, files);
 
-    // The shard fan this run exercises: one shard per pairable group
+    // The channel partition of this run: one group per channel pair
     // at 4 channels, one per channel at 8.
     AddressMap map(cfg.mem, cfg.mapPolicy);
     ChannelShardPlan plan(map, /*pairable=*/channels == 4);
@@ -743,8 +752,8 @@ TEST(TraceSimDeterminism8Ch, GoldenCountersOnTheGlobalEngine)
     // Golden counters for the 8-channel trace replay through the
     // ARCC_THREADS-sized global engine: CI runs this at 1 and 4
     // threads and both must reproduce these numbers.  Integer
-    // counters are exact by the shard-reduce contract; ipcSum is a
-    // band (FP contraction varies across toolchains).
+    // counters are exact; ipcSum is a band (FP contraction varies
+    // across toolchains).
     SystemConfig cfg = traceSimConfig(8);
     const WorkloadMix &mix = table73Mixes()[8];
     TempFiles files;
@@ -760,7 +769,7 @@ TEST(TraceSimDeterminism8Ch, GoldenCountersOnTheGlobalEngine)
 TEST(TraceSimDeterminism4Ch, GoldenCountersOnTheGlobalEngine)
 {
     // As above at 4 channels with the Device-fault oracle: paired
-    // traffic crosses the {2k, 2k+1} shard groups.
+    // traffic spans the {2k, 2k+1} channel pairs.
     SystemConfig cfg = traceSimConfig(4);
     const WorkloadMix &mix = table73Mixes()[8];
     TempFiles files;

@@ -432,6 +432,23 @@ TEST(ChannelSet, RejectsCoordinatesItDoesNotOwn)
     EXPECT_DEATH(set.access(0.0, foreign, false), "assertion");
 }
 
+TEST(ChannelSetDeathTest, ArrivalsMustNotGoBackInTimeOnAChannel)
+{
+    // The reservation model is exact only when each channel sees its
+    // arrivals in order; an earlier arrival is a caller bug.
+    MemoryConfig cfg = arccConfig();
+    ChannelSet set(cfg, ControllerConfig{}, {0, 1});
+    DramCoord ch0{};
+    DramCoord ch1{};
+    ch1.channel = 1;
+    set.access(100.0, ch0, false);
+    set.access(50.0, ch1, false); // another channel keeps its own order.
+    set.access(100.0, ch0, true); // a tie is in order.
+    EXPECT_DEATH(set.access(99.0, ch0, false), "channel 0: arrival");
+    EXPECT_DEATH(set.accessPaired(60.0, ch1, ch0, false),
+                 "channel 0: arrival");
+}
+
 TEST(MemorySystem, PairedAccessFallsBackUnderBaseMap)
 {
     // The Base map keeps adjacent lines in one channel: a paired

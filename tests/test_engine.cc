@@ -8,12 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "cpu/system_sim.hh"
 #include "dram/dram_params.hh"
@@ -287,6 +290,30 @@ TEST(SimEngineEnvDeath, AbsurdThreadCountIsFatal)
     ArccThreadsGuard guard("40000");
     EXPECT_DEATH({ SimEngine engine(SimEngine::Options{0}); },
                  "ARCC_THREADS.*thread count");
+}
+
+// Regression: fatal() used to std::exit, which runs the global
+// engine's destructor -- and that joins the very worker calling
+// fatal(), so the process could abort (exit 134) instead of exit 1.
+TEST(SimEngineDeath, FatalOnAGlobalEngineWorkerExitsOne)
+{
+    // threadsafe: the child re-runs this test from the top, so the
+    // global engine it builds is its own, sized by the guard.
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    ArccThreadsGuard guard("4");
+    EXPECT_EXIT(
+        {
+            const std::thread::id caller = std::this_thread::get_id();
+            SimEngine::global().forEachIndex(2, [&](std::uint64_t) {
+                // The caller never finishes its index, so the other
+                // one runs on a worker -- and fails there.
+                while (std::this_thread::get_id() == caller)
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(1));
+                fatal("bad input seen on an engine worker");
+            });
+        },
+        ::testing::ExitedWithCode(1), "bad input seen on an engine worker");
 }
 
 // --- determinism across thread counts ----------------------------------

@@ -151,10 +151,10 @@ expectSameNumbers(const SimResult &a, const SimResult &b)
 TEST(CaptureReplayClosureProperty, CapturedStreamsReproduceTheLiveRun)
 {
     // For several seeds: run the live generators, then capture the
-    // exact access sequence the simulator consumed (the same do/while
-    // the record phase runs) into binary trace files and replay them.
-    // The decoupled pipeline sees identical inputs, so the outcome
-    // must be bit-identical -- the capture/replay closure.
+    // exact access sequence the simulator consumed (each core draws
+    // until its budget is covered) into binary trace files and replay
+    // them.  The simulator sees identical inputs, so the outcome must
+    // be bit-identical -- the capture/replay closure.
     for (std::uint64_t seed : {77ULL, 20130223ULL}) {
         SCOPED_TRACE("seed=" + std::to_string(seed));
         SystemConfig cfg;

@@ -267,6 +267,97 @@ TEST(SystemSim, PlainScrubSkipsTestPatternPasses)
     EXPECT_NEAR(static_cast<double>(pl) / pat, 1.0 / 3.0, 0.05);
 }
 
+/** The configuration the figure benches run the Table 7.3 mixes on. */
+SystemConfig
+figureConfig(const MemoryConfig &mem, std::uint64_t instrs)
+{
+    SystemConfig cfg;
+    cfg.mem = mem;
+    cfg.instrsPerCore = instrs;
+    cfg.seed = 20130223;
+    return cfg;
+}
+
+/**
+ * Mean over the 12 Table 7.3 mixes of each scenario's power divided by
+ * the mix's fault-free power on the ARCC configuration (Figure 7.2).
+ */
+std::vector<double>
+meanNormalisedPower(std::uint64_t instrs,
+                    const std::vector<PageUpgradeOracle::Scenario> &faults)
+{
+    const SystemConfig cfg = figureConfig(arccConfig(), instrs);
+    const std::size_t per_mix = faults.size() + 1;
+    std::vector<MixJob> jobs;
+    for (const WorkloadMix &mix : table73Mixes()) {
+        jobs.push_back({mix, cfg, {}});
+        for (PageUpgradeOracle::Scenario s : faults)
+            jobs.push_back(
+                {mix, cfg, PageUpgradeOracle::forScenario(s, cfg.mem)});
+    }
+    const std::vector<SimResult> r = simulateMixBatch(jobs);
+    std::vector<double> mean(faults.size(), 0.0);
+    const std::size_t mixes = table73Mixes().size();
+    for (std::size_t m = 0; m < mixes; ++m)
+        for (std::size_t f = 0; f < faults.size(); ++f)
+            mean[f] += r[m * per_mix + 1 + f].avgPowerMw /
+                       r[m * per_mix].avgPowerMw / mixes;
+    return mean;
+}
+
+TEST(SystemSim, FaultPowerOverheadIsStableInTheBudget)
+{
+    // Figure 7.2's normalised power is a property of the workload and
+    // the fault, not of how long the run is: a 20x longer run must
+    // agree.
+    using S = PageUpgradeOracle::Scenario;
+    const std::vector<S> faults = {S::Lane, S::Device};
+    const std::vector<double> short_run =
+        meanNormalisedPower(200'000, faults);
+    const std::vector<double> long_run =
+        meanNormalisedPower(4'000'000, faults);
+    for (std::size_t f = 0; f < faults.size(); ++f) {
+        SCOPED_TRACE(PageUpgradeOracle::name(faults[f]));
+        EXPECT_NEAR(short_run[f], long_run[f], 0.03);
+        EXPECT_GT(short_run[f], 1.0);
+    }
+}
+
+TEST(SystemSim, BackgroundPowerNeverExceedsAllDevicesActive)
+{
+    // Every device in active standby for the whole run is the most
+    // background power a memory system can draw; more means energy
+    // was charged for time outside the reported run.  All 72 Figure 7
+    // jobs: per mix the baseline, then ARCC fault-free and under each
+    // Table 7.4 fault.
+    using S = PageUpgradeOracle::Scenario;
+    const SystemConfig base = figureConfig(baselineConfig(), 200'000);
+    const SystemConfig arcc = figureConfig(arccConfig(), 200'000);
+    std::vector<MixJob> jobs;
+    for (const WorkloadMix &mix : table73Mixes()) {
+        jobs.push_back({mix, base, {}});
+        jobs.push_back({mix, arcc, {}});
+        for (S s : {S::Lane, S::Device, S::Bank, S::Column})
+            jobs.push_back(
+                {mix, arcc, PageUpgradeOracle::forScenario(s, arcc.mem)});
+    }
+    const std::vector<SimResult> results = simulateMixBatch(jobs);
+    ASSERT_EQ(results.size(), 72u);
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        const MemoryConfig &mem = jobs[j].config.mem;
+        const SimResult &r = results[j];
+        // nJ / ns = W; the device powers are in mW.
+        const double background_mw =
+            r.power.backgroundNj / r.elapsedNs * 1e3;
+        const double ceiling_mw =
+            mem.totalDevices() * mem.device.pActiveStandby();
+        EXPECT_LE(background_mw, ceiling_mw)
+            << "job " << j << ": " << jobs[j].mix.name << " on "
+            << mem.name << ", "
+            << PageUpgradeOracle::name(jobs[j].oracle.scenario());
+    }
+}
+
 TEST(SystemSim, PairingPolicyPointerIsNotSlower)
 {
     SystemConfig fifo = quickConfig(arccConfig());
