@@ -6,6 +6,11 @@
  * The simulated instruction budget scales with ARCC_BENCH_INSTRS
  * (default one million per core, which reproduces the shapes in a few
  * seconds per figure; the paper used 2 billion cycles in M5).
+ *
+ * A bench's stdout is a pure function of its inputs: it holds results
+ * only, so it is byte-identical at any ARCC_THREADS and SIMD tier.
+ * Anything that depends on the host -- wall-clock time, the executor
+ * count, the dispatch tier -- goes to stderr.
  */
 
 #ifndef ARCC_BENCH_BENCH_COMMON_HH
@@ -23,7 +28,6 @@
 #include "common/parse_num.hh"
 #include "common/table.hh"
 #include "cpu/system_sim.hh"
-#include "engine/sim_engine.hh"
 #include "faults/fault_model.hh"
 #include "faults/lifetime_mc.hh"
 
@@ -56,14 +60,13 @@ jsonNum(double v)
 /** Version of the jsonRow schema.  Bump when the row layout changes
  *  (fields added / removed / renamed) so downstream consumers can
  *  reject rows they do not understand. */
-inline constexpr std::uint32_t kBenchSchemaVersion = 2;
+inline constexpr std::uint32_t kBenchSchemaVersion = 3;
 
 /**
  * Stable hash of what shaped a row: schema version, bench family,
  * field-name list, and the instruction budget.  Deliberately excludes
- * the thread count and every field *value*, so CI's 1-vs-N-thread and
- * scalar-vs-SIMD diff legs see identical hashes and any mismatch
- * flags a real schema drift.
+ * every field *value*: two rows with equal hashes answer the same
+ * question.
  */
 inline std::uint64_t
 rowConfigHash(const std::string &bench,
@@ -88,13 +91,10 @@ rowConfigHash(const std::string &bench,
 }
 
 /**
- * Emit one machine-readable JSON line alongside the human tables.
- *
- * Every row carries the executor count of the global engine
- * (ARCC_THREADS / the hardware), the schema version, and the row's
- * config hash.  CI's 1-vs-N-thread diff normalises the "threads"
- * field and requires every other value to be bit-identical -- the
- * bench-level enforcement of the engine's determinism contract.
+ * Emit one machine-readable JSON line to stdout alongside the human
+ * tables, stamped with the schema version and the row's config hash.
+ * Field values must be pure functions of the bench's inputs: CI diffs
+ * the whole stdout of a 1-thread and an N-thread run.
  */
 inline void
 jsonRow(const std::string &bench,
@@ -107,9 +107,7 @@ jsonRow(const std::string &bench,
     std::string out = "{\"bench\":\"" + bench +
                       "\",\"schema_version\":" +
                       std::to_string(kBenchSchemaVersion) +
-                      ",\"config_hash\":\"" + hash +
-                      "\",\"threads\":" +
-                      std::to_string(SimEngine::global().threads());
+                      ",\"config_hash\":\"" + hash + "\"";
     for (const auto &[key, value] : fields)
         out += ",\"" + key + "\":" + value;
     out += "}";

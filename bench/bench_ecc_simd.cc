@@ -1,34 +1,32 @@
 /**
  * @file
- * SIMD GF(2^8) kernel and SoA batch-decode throughput bench.
+ * SIMD GF(2^8) kernel and SoA batch-decode bench.
  *
  * Rows come in two groups, all under the `ecc_simd` bench family:
  *
- *  - kernel rows (`mul_const`, `syndrome_soa`): measured twice in one
- *    process, once pinned to the scalar tier and once on the build's
- *    active tier via the `*At` dispatch entry points -- the in-process
- *    scalar-vs-vector speedup of the raw kernels.  A scalar-forced
- *    run emits two scalar rows, so the row structure stays diffable;
+ *  - kernel rows (`mul_const`, `syndrome_soa`): run twice in one
+ *    process, once pinned to the scalar tier (`"leg":"scalar"`) and
+ *    once on the build's active tier via the `*At` dispatch entry
+ *    points (`"leg":"active"`);
  *  - batch rows (`decode_soa_clean`, `decode_soa_2err`): the full
  *    ReedSolomon::decodeSoa pipeline on the active tier (whatever
- *    simd::activeTier() resolves to -- override with ARCC_SIMD=off to
- *    measure the scalar path, which is what the CI bench-smoke diff
- *    does).
+ *    simd::activeTier() resolves to; ARCC_SIMD=off forces scalar).
  *
- * Every JSON row carries a `tier` field and a `check` decode-output
- * hash that is a pure function of the fixed seeds and iteration
- * count.  The scalar and SIMD tiers are required to be bit-identical,
- * so CI diffs the rows of an ARCC_SIMD=off run against a default run
- * with `tier` and the timing fields normalised: any check divergence
- * is a vector-kernel correctness bug, caught in the smoke lane.
+ * Every row carries a `check` decode-output hash that is a pure
+ * function of the fixed seeds and iteration count.  The scalar and
+ * SIMD tiers are required to be bit-identical, so the stdout of an
+ * ARCC_SIMD=off run must equal a default run byte for byte: any
+ * divergence is a vector-kernel correctness bug.  The tier names and
+ * the per-tier MSym/s and ns/word go to stderr.
  *
  * ARCC_BENCH_ECC_ITERS overrides the per-path iteration budget.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_common.hh"
@@ -47,10 +45,8 @@ namespace
 std::uint64_t
 iterBudget()
 {
-    if (const char *env = std::getenv("ARCC_BENCH_ECC_ITERS"))
-        return std::max<std::uint64_t>(
-            1, std::strtoull(env, nullptr, 10));
-    return 100000;
+    return std::max<std::uint64_t>(
+        1, envU64("ARCC_BENCH_ECC_ITERS", 100000));
 }
 
 /** Decode-output accumulator: order-sensitive, timing-independent. */
@@ -65,10 +61,23 @@ struct Check
     }
 };
 
-/** Time `body(iters)` and emit the human + JSON rows. */
+/** The tier a row's leg runs on: "scalar" is pinned to the scalar
+ *  tier, "active" is whatever simd::activeTier() resolves to. */
+simd::Tier
+legTier(std::string_view leg)
+{
+    return leg == "scalar" ? simd::Tier::Scalar : simd::activeTier();
+}
+
+/**
+ * Run `body(iters)`: the check hash goes to stdout as a JSON row, the
+ * tier and the timing to stderr as a human line.  The row names its
+ * leg, not the tier the leg resolved to, so stdout is the same on
+ * every host.
+ */
 template <class Body>
 void
-report(const char *codec, simd::Tier tier, const char *path, int lanes,
+report(const char *codec, const char *leg, const char *path, int lanes,
        std::uint64_t iters, std::uint64_t symbols_per_iter, Body &&body)
 {
     Check check;
@@ -83,20 +92,19 @@ report(const char *codec, simd::Tier tier, const char *path, int lanes,
     const double msym_s = static_cast<double>(symbols_per_iter) *
                           static_cast<double>(iters) / ns * 1e3;
 
-    const char *tname = simd::tierName(tier);
-    std::printf("  %-9s %-6s %-16s lanes=%-3d %10.1f MSym/s"
-                "  %8.2f ns/word\n",
-                codec, tname, path, lanes, msym_s, ns_word);
+    std::fprintf(stderr,
+                 "  %-9s %-6s %-16s lanes=%-3d %10.1f MSym/s"
+                 "  %8.2f ns/word\n",
+                 codec, simd::tierName(legTier(leg)), path, lanes,
+                 msym_s, ns_word);
     jsonRow("ecc_simd",
             {
                 {"codec", std::string("\"") + codec + "\""},
-                {"tier", std::string("\"") + tname + "\""},
+                {"leg", std::string("\"") + leg + "\""},
                 {"path", std::string("\"") + path + "\""},
                 {"lanes", jsonNum(static_cast<std::uint64_t>(lanes))},
                 {"iters", jsonNum(iters)},
                 {"check", jsonNum(check.h)},
-                {"msym_s", jsonNum(msym_s)},
-                {"ns_word", jsonNum(ns_word)},
             });
 }
 
@@ -112,8 +120,9 @@ benchMulConst()
     const std::uint64_t iters =
         std::max<std::uint64_t>(1, iterBudget() / 8);
 
-    for (simd::Tier tier : {simd::Tier::Scalar, simd::activeTier()}) {
-        report("gf256", tier, "mul_const", 0, iters, kBytes,
+    for (const char *leg : {"scalar", "active"}) {
+        const simd::Tier tier = legTier(leg);
+        report("gf256", leg, "mul_const", 0, iters, kBytes,
                [&](std::uint64_t it, Check &c) {
                    for (std::uint64_t i = 0; i < it; ++i) {
                        gfsimd::mulConstAt(
@@ -161,8 +170,9 @@ benchCodec(const char *name, int n, int k)
         roots[j] = GF256::alphaPow(j);
 
     // --- SoA syndrome screen, both tiers -----------------------------
-    for (simd::Tier tier : {simd::Tier::Scalar, simd::activeTier()}) {
-        report(name, tier, "syndrome_soa", kLanes, iters, sym_per_iter,
+    for (const char *leg : {"scalar", "active"}) {
+        const simd::Tier tier = legTier(leg);
+        report(name, leg, "syndrome_soa", kLanes, iters, sym_per_iter,
                [&](std::uint64_t it, Check &c) {
                    for (std::uint64_t i = 0; i < it; ++i) {
                        gfsimd::syndromeSoaAt(
@@ -175,10 +185,9 @@ benchCodec(const char *name, int n, int k)
     }
 
     // --- full batched decode, active tier ----------------------------
-    const simd::Tier act = simd::activeTier();
     RsLaneResult results[kLanes];
 
-    report(name, act, "decode_soa_clean", kLanes, iters, sym_per_iter,
+    report(name, "active", "decode_soa_clean", kLanes, iters, sym_per_iter,
            [&](std::uint64_t it, Check &c) {
                for (std::uint64_t i = 0; i < it; ++i) {
                    rs.decodeSoa(ws.soa.data(), kLanes, kLanes, ws, -1,
@@ -190,7 +199,7 @@ benchCodec(const char *name, int n, int k)
 
     const std::uint64_t err_iters =
         std::max<std::uint64_t>(1, iters / 4);
-    report(name, act, "decode_soa_2err", kLanes, err_iters,
+    report(name, "active", "decode_soa_2err", kLanes, err_iters,
            sym_per_iter, [&](std::uint64_t it, Check &c) {
                for (std::uint64_t i = 0; i < it; ++i) {
                    // Two lanes take hits; the decode restores them,
@@ -214,10 +223,11 @@ benchCodec(const char *name, int n, int k)
 int
 main()
 {
-    std::printf("SIMD GF(2^8) kernels (detected tier: %s, active "
-                "tier: %s)\n",
-                simd::tierName(simd::detectTier()),
-                simd::tierName(simd::activeTier()));
+    std::printf("SIMD GF(2^8) kernels: scalar vs active tier "
+                "(tier names and timings on stderr)\n");
+    std::fprintf(stderr, "detected tier: %s, active tier: %s\n",
+                 simd::tierName(simd::detectTier()),
+                 simd::tierName(simd::activeTier()));
     benchMulConst();
     benchCodec("rs18_16", 18, 16);
     benchCodec("rs36_32", 36, 32);

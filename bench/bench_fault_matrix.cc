@@ -6,16 +6,16 @@
  * bench_common jsonRow per cell and a final matrix-hash row.
  *
  * Every count in the output is a pure function of (codec list, trials
- * per cell, exhaustive limit, seed) -- never of the thread count --
- * so CI diffs the JSON across 1-vs-N-thread and scalar-vs-SIMD legs
- * with only the "threads" field normalised.
+ * per cell, exhaustive limit, seed) -- never of the thread count or
+ * the SIMD tier -- so CI diffs the whole stdout across 1-vs-N-thread
+ * and scalar-vs-SIMD legs.
  *
  * ARCC_BENCH_FAULT_TRIALS overrides the stratified trials-per-cell
  * budget (default 96, the golden-pinned configuration).
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "bench_common.hh"
@@ -25,26 +25,13 @@
 using namespace arcc;
 using namespace arcc::bench;
 
-namespace
-{
-
-std::uint64_t
-trialBudget()
-{
-    if (const char *env = std::getenv("ARCC_BENCH_FAULT_TRIALS"))
-        return std::max<std::uint64_t>(
-            1, std::strtoull(env, nullptr, 10));
-    return 96;
-}
-
-} // anonymous namespace
-
 int
 main()
 {
     FaultMatrixConfig cfg;
     cfg.codecs = codecs::names(); // The whole zoo, sorted by key.
-    cfg.trialsPerCell = trialBudget();
+    cfg.trialsPerCell =
+        std::max<std::uint64_t>(1, envU64("ARCC_BENCH_FAULT_TRIALS", 96));
     cfg.exhaustiveLimit = 640;
     cfg.seed = 20130223; // HPCA 2013.
 

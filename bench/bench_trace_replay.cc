@@ -7,14 +7,10 @@
  * (deterministic: fixed seed), then replays them via TraceStream --
  * O(chunk) resident memory -- through simulateStreams on each channel
  * width.  The JSON rows track the IPC / power / traffic of each width,
- * plus the ChannelShardPlan group count (`shards`: 8 at 8 channels),
  * and CI's 1-vs-N-thread diff requires them to be bit-identical.
- *
- * `replay_maccess_s` (wall-clock trace throughput) is normalised away
- * by the CI diff like bench_ecc's msym_s.
+ * Replay throughput is measured by perfbench, not here.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -25,7 +21,6 @@
 #include "bench_common.hh"
 #include "common/table.hh"
 #include "cpu/trace.hh"
-#include "dram/channel_shard.hh"
 
 using namespace arcc;
 
@@ -81,13 +76,10 @@ main()
                 static_cast<unsigned long long>(cfg.instrsPerCore));
 
     TextTable t;
-    t.header({"Channels", "Shards", "IPC sum", "DRAM mW", "Mem reads",
-              "Replay Macc/s"});
+    t.header({"Channels", "IPC sum", "DRAM mW", "Mem reads"});
     for (int channels : {2, 4, 8}) {
         SystemConfig ccfg = cfg;
         ccfg.mem = withChannels(cfg.mem, channels);
-        AddressMap map(ccfg.mem, ccfg.mapPolicy);
-        ChannelShardPlan plan(map, /*pairable=*/false);
 
         std::vector<StreamSpec> streams;
         for (int core = 0; core < ccfg.cores; ++core)
@@ -95,41 +87,26 @@ main()
                 bins[core],
                 benchmarkProfile(mix.benchmarks[core]).baseIpc));
 
-        auto start = std::chrono::steady_clock::now();
         SimResult r = simulateStreams(std::move(streams), ccfg, {});
-        double secs = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
         std::uint64_t laps = 0;
         for (const CoreResult &core : r.cores)
             laps += core.traceLaps;
-        double maccess_s =
-            static_cast<double>(r.llcStats.hits + r.llcStats.misses) /
-            secs / 1e6;
 
-        t.row({std::to_string(channels),
-               std::to_string(plan.groups()),
-               TextTable::num(r.ipcSum, 3),
+        t.row({std::to_string(channels), TextTable::num(r.ipcSum, 3),
                TextTable::num(r.avgPowerMw, 0),
-               std::to_string(r.memReads),
-               TextTable::num(maccess_s, 2)});
+               std::to_string(r.memReads)});
         bench::jsonRow(
             "trace_replay",
             {{"channels", bench::jsonNum(
                               static_cast<std::uint64_t>(channels))},
-             {"shards", bench::jsonNum(static_cast<std::uint64_t>(
-                            plan.groups()))},
              {"ipc_sum", bench::jsonNum(r.ipcSum)},
              {"avg_mw", bench::jsonNum(r.avgPowerMw)},
              {"elapsed_ns", bench::jsonNum(r.elapsedNs)},
              {"mem_reads", bench::jsonNum(r.memReads)},
              {"mem_writes", bench::jsonNum(r.memWrites)},
-             {"trace_laps", bench::jsonNum(laps)},
-             {"replay_maccess_s", bench::jsonNum(maccess_s)}});
+             {"trace_laps", bench::jsonNum(laps)}});
     }
     t.print();
-    std::printf("\nEvery row is bit-identical at any ARCC_THREADS; "
-                "only replay_maccess_s may vary.\n");
 
     std::filesystem::remove_all(dir);
     return 0;

@@ -30,7 +30,6 @@
 
 #include "common/table.hh"
 #include "cpu/trace.hh"
-#include "dram/channel_shard.hh"
 
 using namespace arcc;
 
@@ -104,18 +103,14 @@ main(int argc, char **argv)
         bins.push_back(bin);
     }
 
-    // Step 3: replay at 2 / 4 / 8 channels.  The Shards column is the
-    // ChannelShardPlan's group count: how many independent channel
-    // groups the traffic of each width splits into.
+    // Step 3: replay at 2 / 4 / 8 channels.
     std::printf("\n");
     TextTable t;
-    t.header({"Channels", "Shards", "IPC sum", "Elapsed us",
-              "DRAM mW", "Mem reads", "Laps/core"});
+    t.header({"Channels", "IPC sum", "Elapsed us", "DRAM mW",
+              "Mem reads", "Laps/core"});
     for (int channels : {2, 4, 8}) {
         SystemConfig ccfg = cfg;
         ccfg.mem = withChannels(cfg.mem, channels);
-        AddressMap map(ccfg.mem, ccfg.mapPolicy);
-        ChannelShardPlan plan(map, /*pairable=*/false);
 
         std::vector<StreamSpec> streams;
         for (int core = 0; core < ccfg.cores; ++core) {
@@ -128,9 +123,7 @@ main(int argc, char **argv)
         std::uint64_t laps = 0;
         for (const CoreResult &core : r.cores)
             laps += core.traceLaps;
-        t.row({std::to_string(channels),
-               std::to_string(plan.groups()),
-               TextTable::num(r.ipcSum, 3),
+        t.row({std::to_string(channels), TextTable::num(r.ipcSum, 3),
                TextTable::num(r.elapsedNs / 1000.0, 1),
                TextTable::num(r.avgPowerMw, 0),
                std::to_string(r.memReads),

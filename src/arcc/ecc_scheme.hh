@@ -163,10 +163,6 @@ class LineCodec
      */
     virtual const ReedSolomon *soaCodec() const { return nullptr; }
 
-    /** The per-codeword error cap decodeInto applies (mirrors what a
-     *  batched decode must pass for bit-identical outcomes). */
-    virtual int soaMaxCorrect() const { return -1; }
-
     /** Human-readable description. */
     virtual const char *name() const = 0;
 };
@@ -201,10 +197,7 @@ class RsLineCodec : public LineCodec
                     std::span<const int> erased, LineWorkspace &ws,
                     DecodeResult &out) const override;
     const ReedSolomon *soaCodec() const override { return &rs_; }
-    int soaMaxCorrect() const override { return maxCorrect_; }
     const char *name() const override { return name_; }
-
-    int maxCorrect() const { return maxCorrect_; }
 
   private:
     ReedSolomon rs_;

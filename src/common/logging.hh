@@ -10,7 +10,6 @@
  *             it is safe on an engine worker thread.
  * warn()   -- something is not modelled as faithfully as it could be but
  *             the simulation can continue.
- * inform() -- a purely informational status message.
  */
 
 #ifndef ARCC_COMMON_LOGGING_HH
@@ -23,29 +22,6 @@
 
 namespace arcc
 {
-
-/** Severity levels understood by the message sink. */
-enum class LogLevel
-{
-    Panic,
-    Fatal,
-    Warn,
-    Inform,
-    Debug,
-};
-
-/**
- * Global verbosity control.  Messages with a level numerically greater
- * than the threshold are suppressed.  Defaults to Inform.
- */
-void setLogThreshold(LogLevel level);
-
-/** @return the current verbosity threshold. */
-LogLevel logThreshold();
-
-/** Emit a formatted message at the given level. */
-void logMessage(LogLevel level, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
 
 /**
  * Report an internal invariant violation and abort.  Never returns.
@@ -62,9 +38,6 @@ void logMessage(LogLevel level, const char *fmt, ...)
 
 /** Report a modelling caveat the user should be aware of. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Report an informational status message. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /**
  * Assert a simulator invariant.  Unlike the standard assert this is

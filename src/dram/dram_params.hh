@@ -80,17 +80,6 @@ struct DeviceParams
     /** Burst duration in clock cycles (DDR moves 2 beats/cycle). */
     int burstCycles() const { return burstLength / 2; }
 
-    /**
-     * Unloaded read latency in ns: ACT-to-CAS + CAS latency + burst,
-     * with no queueing, bank, or bus contention.  The sharded system
-     * simulator's front-end uses this as its initial estimate of a
-     * miss's memory latency before the back-end replay refines it.
-     */
-    double unloadedReadLatencyNs() const
-    {
-        return (tRCD + clCycles + burstCycles()) * tCK;
-    }
-
     /** Derived per-event energies (nJ per device). */
     double actPreEnergy() const;
     double readBurstEnergy() const;

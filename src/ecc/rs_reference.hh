@@ -7,8 +7,7 @@
  * It is retained, unoptimised and deliberately simple, as the oracle
  * the fast pipeline is pinned against: tests/test_property_rs_oracle.cc
  * fuzzes >= 10k words per codec shape and requires bit-identical
- * status / corrected word / positions from both decoders, and
- * bench_ecc reports both so the speedup is tracked per PR.  Do not
+ * status / corrected word / positions from both decoders.  Do not
  * optimise this class; its value is that it stays obviously correct.
  *
  * Semantics are documented in ecc/reed_solomon.hh; the two classes

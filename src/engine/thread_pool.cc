@@ -101,16 +101,6 @@ ThreadPool::tryRunOneTask()
     return true;
 }
 
-std::size_t
-ThreadPool::queuedTasks() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t n = 0;
-    for (const auto &q : queues_)
-        n += q.size();
-    return n;
-}
-
 void
 ThreadPool::workerMain(std::size_t self)
 {

@@ -65,9 +65,6 @@ class ThreadPool
      */
     bool tryRunOneTask();
 
-    /** Number of tasks currently queued (for tests / introspection). */
-    std::size_t queuedTasks() const;
-
     /** @return the machine's hardware thread count (at least 1). */
     static int hardwareThreads();
 
@@ -77,7 +74,7 @@ class ThreadPool
     /** Pop from own back / steal from another front.  Lock held. */
     bool popLocked(std::size_t self, Task &out);
 
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::condition_variable workReady_;
     /** queues_[i] feeds worker i; queues_.back() is the submit inbox
      *  drained by everyone (it is the only queue of an inline pool). */

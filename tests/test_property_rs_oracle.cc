@@ -115,6 +115,10 @@ TEST(RsOracleProperty, FuzzedDecodesMatchReferenceBitForBit)
             const int max_correct =
                 static_cast<int>(rng.below(4)) - 1;
 
+            // The zero-syndrome screens must agree before any decode.
+            ASSERT_EQ(fast.syndromesZero(word), ref.syndromesZero(word))
+                << "syndrome screen mismatch, seed=" << seed;
+
             word_ref = word;
             const RsDecodeView v =
                 fast.decode(word, ws, max_correct, erasures);

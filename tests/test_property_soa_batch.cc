@@ -195,10 +195,12 @@ TEST(SoaBatchProperty, BatchedDecodeMatchesReferencePerLane)
             fast.decodeSoa(ws.soa.data(), kStride, lanes, ws,
                            max_correct, erasures, results);
 
+            bool any_dirty = false;
             for (int l = 0; l < lanes; ++l) {
                 std::vector<std::uint8_t> word_ref = received[l];
                 const DecodeResult r =
                     ref.decode(word_ref, max_correct, erasures);
+                any_dirty = any_dirty || !ref.syndromesZero(word_ref);
 
                 std::vector<std::uint8_t> lane(shape.n);
                 for (int s = 0; s < shape.n; ++s)
@@ -218,6 +220,14 @@ TEST(SoaBatchProperty, BatchedDecodeMatchesReferencePerLane)
                            << " seed=" << seed;
                 }
             }
+
+            // The block screen on the decoded block: dirty iff some
+            // lane (a Detected rollback) fails the reference's
+            // zero-syndrome test.
+            ASSERT_EQ(fast.computeSyndromesSoa(ws.soa.data(), kStride,
+                                               lanes, ws.syndSoa.data(),
+                                               ws.soaFlags.data()),
+                      any_dirty);
         }
     }
 }
