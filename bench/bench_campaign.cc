@@ -58,7 +58,10 @@ hex(std::uint64_t v)
 std::string
 jsonHex(std::uint64_t v)
 {
-    return "\"" + hex(v) + "\"";
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "\"%016llx\"",
+                  static_cast<unsigned long long>(v));
+    return buf;
 }
 
 } // anonymous namespace

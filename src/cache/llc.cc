@@ -29,12 +29,13 @@ pairSibling(std::uint64_t line_addr)
 // ---------------------------------------------------------------------
 
 PairedTagLlc::PairedTagLlc(const CacheConfig &config)
-    : BaseLlc(config)
+    : BaseLlc(config), assoc_(config.assoc)
 {
+    static_assert(kFlags < kLineBytes, "flags live in the line offset");
     sets_ = config.sizeBytes /
             (static_cast<std::uint64_t>(config.assoc) * config.lineBytes);
     ARCC_ASSERT(sets_ > 1 && (sets_ & (sets_ - 1)) == 0);
-    lines_.assign(sets_ * config.assoc, Line{});
+    ways_.assign(sets_ * assoc_, kEmpty);
 }
 
 std::uint64_t
@@ -43,125 +44,104 @@ PairedTagLlc::setOf(std::uint64_t line_addr) const
     return (line_addr / kLineBytes) & (sets_ - 1);
 }
 
-PairedTagLlc::Line *
-PairedTagLlc::find(std::uint64_t line_addr)
+std::uint64_t *
+PairedTagLlc::ways(std::uint64_t line_addr)
 {
-    std::uint64_t set = setOf(line_addr);
-    Line *base = &lines_[set * config_.assoc];
-    for (int w = 0; w < config_.assoc; ++w) {
-        if (base[w].valid && base[w].lineAddr == line_addr)
-            return &base[w];
-    }
-    return nullptr;
+    return &ways_[setOf(line_addr) * assoc_];
 }
 
 int
-PairedTagLlc::victimWay(std::uint64_t set) const
+PairedTagLlc::find(const std::uint64_t *set, std::uint64_t line_addr) const
 {
-    const Line *base = &lines_[set * config_.assoc];
-    int victim = 0;
-    std::uint64_t best = ~0ULL;
-    for (int w = 0; w < config_.assoc; ++w) {
-        if (!base[w].valid)
+    for (int w = 0; w < assoc_; ++w) {
+        if ((set[w] & ~kFlags) == line_addr)
             return w;
-        // The recency of an upgraded line is kept synchronised with its
-        // sibling on every touch, so lastUse already reflects the most
-        // recently used sub-line (Section 4.2.3).
-        if (base[w].lastUse < best) {
-            best = base[w].lastUse;
-            victim = w;
-        }
     }
-    return victim;
+    return -1;
 }
 
 void
-PairedTagLlc::dropLine(std::uint64_t line_addr, LlcOutcome &out,
-                       bool emit_writeback)
+PairedTagLlc::touch(std::uint64_t *set, int w)
 {
-    Line *l = find(line_addr);
-    if (!l)
-        return;
-    if (emit_writeback && l->dirty) {
-        Writeback wb;
-        wb.addr = l->upgraded ? (line_addr & ~(kUpgradedLineBytes - 1))
-                              : line_addr;
-        wb.paired = l->upgraded;
-        out.writebacks.push_back(wb);
-        if (l->upgraded)
-            ++stats_.pairedWritebacks;
-    }
-    l->valid = false;
-    ++stats_.evictions;
+    std::uint64_t entry = set[w];
+    std::copy_backward(set, set + w, set + w + 1);
+    set[0] = entry;
 }
 
 void
-PairedTagLlc::fill(std::uint64_t line_addr, bool dirty, bool upgraded,
+PairedTagLlc::fill(std::uint64_t *set, std::uint64_t entry,
                    LlcOutcome &out)
 {
-    std::uint64_t set = setOf(line_addr);
-    int way = victimWay(set);
-    Line &slot = lines_[set * config_.assoc + way];
-    if (slot.valid) {
-        out.replaced = true;
-        ++stats_.evictions;
-        if (slot.dirty) {
-            Writeback wb;
-            wb.addr = slot.upgraded
-                          ? (slot.lineAddr & ~(kUpgradedLineBytes - 1))
-                          : slot.lineAddr;
-            wb.paired = slot.upgraded;
-            out.writebacks.push_back(wb);
-            if (slot.upgraded)
-                ++stats_.pairedWritebacks;
-        }
-        if (slot.upgraded) {
-            // Both sub-lines leave together; the sibling was already
-            // covered by the paired writeback above.
-            std::uint64_t sib = pairSibling(slot.lineAddr);
-            slot.valid = false;
-            dropLine(sib, out, /*emit_writeback=*/false);
+    const std::uint64_t victim = set[assoc_ - 1];
+    std::copy_backward(set, set + assoc_ - 1, set + assoc_);
+    set[0] = entry;
+    if (victim == kEmpty)
+        return;
+
+    out.replaced = true;
+    ++stats_.evictions;
+    const std::uint64_t line_addr = victim & ~kFlags;
+    const bool upgraded = (victim & kUpgraded) != 0;
+    if (victim & kDirty) {
+        Writeback wb;
+        wb.addr = upgraded ? (line_addr & ~(kUpgradedLineBytes - 1))
+                           : line_addr;
+        wb.paired = upgraded;
+        out.writebacks.push_back(wb);
+        if (upgraded)
+            ++stats_.pairedWritebacks;
+    }
+    if (upgraded) {
+        // Both sub-lines leave together; the sibling was already
+        // covered by the paired writeback above.  It lives in the
+        // adjacent set, never in this one.
+        std::uint64_t sib = pairSibling(line_addr);
+        std::uint64_t *sset = ways(sib);
+        int w = find(sset, sib);
+        if (w >= 0) {
+            std::copy(sset + w + 1, sset + assoc_, sset + w);
+            sset[assoc_ - 1] = kEmpty;
+            ++stats_.evictions;
         }
     }
-    slot.valid = true;
-    slot.dirty = dirty;
-    slot.upgraded = upgraded;
-    slot.lineAddr = line_addr;
-    slot.lastUse = clock_;
 }
 
 LlcOutcome
 PairedTagLlc::access(std::uint64_t addr, bool is_write, bool upgraded)
 {
     LlcOutcome out;
-    ++clock_;
-    std::uint64_t line_addr = addr & ~(kLineBytes - 1);
+    const std::uint64_t line_addr = addr & ~(kLineBytes - 1);
+    const std::uint64_t dirty = is_write ? kDirty : 0;
 
-    Line *l = find(line_addr);
-    if (l) {
+    std::uint64_t *set = ways(line_addr);
+    int w = find(set, line_addr);
+    if (w >= 0) {
         out.hit = true;
         ++stats_.hits;
-        l->lastUse = clock_;
-        if (is_write)
-            l->dirty = true;
-        if (l->upgraded) {
+        set[w] |= dirty;
+        touch(set, w);
+        if (set[0] & kUpgraded) {
             // Keep the sibling's recency in sync (coupled recency).
-            Line *sib = find(pairSibling(line_addr));
-            if (sib)
-                sib->lastUse = clock_;
+            std::uint64_t sib = pairSibling(line_addr);
+            std::uint64_t *sset = ways(sib);
+            int sw = find(sset, sib);
+            if (sw >= 0)
+                touch(sset, sw);
         }
         return out;
     }
 
     ++stats_.misses;
-    fill(line_addr, is_write, upgraded, out);
+    fill(set, line_addr | dirty | (upgraded ? kUpgraded : 0), out);
     if (upgraded) {
         // The 128B fetch brings the sibling too.
         std::uint64_t sib = pairSibling(line_addr);
-        if (!find(sib))
-            fill(sib, /*dirty=*/false, /*upgraded=*/true, out);
+        std::uint64_t *sset = ways(sib);
+        int sw = find(sset, sib);
+        if (sw < 0)
+            fill(sset, sib | kUpgraded, out);
         else
-            find(sib)->upgraded = true;
+            sset[sw] |= kUpgraded;
         ++stats_.pairedFills;
     }
     return out;
@@ -170,39 +150,37 @@ PairedTagLlc::access(std::uint64_t addr, bool is_write, bool upgraded)
 void
 PairedTagLlc::flush()
 {
-    for (auto &l : lines_)
-        l = Line{};
-    clock_ = 0;
+    std::fill(ways_.begin(), ways_.end(), kEmpty);
 }
 
 bool
 PairedTagLlc::checkInvariants() const
 {
     for (std::uint64_t set = 0; set < sets_; ++set) {
-        for (int w = 0; w < config_.assoc; ++w) {
-            const Line &l = lines_[set * config_.assoc + w];
-            if (!l.valid)
+        const std::uint64_t *base = &ways_[set * assoc_];
+        bool empty_seen = false;
+        for (int w = 0; w < assoc_; ++w) {
+            const std::uint64_t entry = base[w];
+            // Empty ways sit behind every valid one.
+            if (entry == kEmpty) {
+                empty_seen = true;
                 continue;
-            // Tag maps back to its set.
-            if (setOf(l.lineAddr) != set)
+            }
+            if (empty_seen)
                 return false;
-            if (!l.upgraded)
+            const std::uint64_t line_addr = entry & ~kFlags;
+            // Only the flags use the offset bits, and the tag maps
+            // back to its set.
+            if (line_addr % kLineBytes != 0 || setOf(line_addr) != set)
+                return false;
+            if (!(entry & kUpgraded))
                 continue;
             // Upgraded invariant: the sibling is resident in the
-            // adjacent set, flagged, and recency-coupled.
-            std::uint64_t sib = l.lineAddr ^ kLineBytes;
-            std::uint64_t sset = setOf(sib);
-            bool found = false;
-            for (int v = 0; v < config_.assoc; ++v) {
-                const Line &cand = lines_[sset * config_.assoc + v];
-                if (cand.valid && cand.lineAddr == sib) {
-                    if (!cand.upgraded)
-                        return false;
-                    found = true;
-                    break;
-                }
-            }
-            if (!found)
+            // adjacent set and flagged.
+            std::uint64_t sib = pairSibling(line_addr);
+            const std::uint64_t *sset = &ways_[setOf(sib) * assoc_];
+            int sw = find(sset, sib);
+            if (sw < 0 || !(sset[sw] & kUpgraded))
                 return false;
         }
     }

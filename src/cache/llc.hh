@@ -23,9 +23,11 @@
 #ifndef ARCC_CACHE_LLC_HH
 #define ARCC_CACHE_LLC_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/units.hh"
 
 namespace arcc
@@ -51,14 +53,44 @@ struct Writeback
     bool paired = false;
 };
 
+/**
+ * The dirty evictions of one access, held inline so that no access
+ * allocates.  Either design evicts at most two dirty lines per access:
+ * the paired-tag design one per fill (the demand line and, for an
+ * upgraded miss, its sibling), the sectored design the two sub-sectors
+ * of one frame.
+ */
+class WritebackList
+{
+  public:
+    static constexpr std::size_t kCapacity = 2;
+
+    void
+    push_back(const Writeback &wb)
+    {
+        ARCC_ASSERT(size_ < kCapacity);
+        items_[size_++] = wb;
+    }
+
+    const Writeback *begin() const { return items_; }
+    const Writeback *end() const { return items_ + size_; }
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    const Writeback &operator[](std::size_t i) const { return items_[i]; }
+
+  private:
+    Writeback items_[kCapacity];
+    std::size_t size_ = 0;
+};
+
 /** Outcome of one LLC access. */
 struct LlcOutcome
 {
     bool hit = false;
     /** A replacement happened (charge the second tag access). */
     bool replaced = false;
-    /** Dirty evictions to forward to memory. */
-    std::vector<Writeback> writebacks;
+    /** Dirty evictions to forward to memory, in eviction order. */
+    WritebackList writebacks;
 };
 
 /** Running LLC statistics. */
@@ -114,7 +146,14 @@ class BaseLlc
     LlcStats stats_;
 };
 
-/** The paper's paired-tag 64B-line design. */
+/**
+ * The paper's paired-tag 64B-line design.
+ *
+ * Each way is one word: the line address with the dirty and upgraded
+ * flags in its (always zero) offset bits, or kEmpty.  A set keeps its
+ * ways in recency order, most recent first and empty ways last, so a
+ * fill evicts the last way and a touch moves one way to the front.
+ */
 class PairedTagLlc : public BaseLlc
 {
   public:
@@ -126,29 +165,25 @@ class PairedTagLlc : public BaseLlc
     bool checkInvariants() const override;
 
   private:
-    struct Line
-    {
-        bool valid = false;
-        bool dirty = false;
-        bool upgraded = false;
-        std::uint64_t lineAddr = 0;
-        std::uint64_t lastUse = 0;
-    };
+    static constexpr std::uint64_t kDirty = 1;
+    static constexpr std::uint64_t kUpgraded = 2;
+    static constexpr std::uint64_t kFlags = kDirty | kUpgraded;
+    /** An empty way; its flag-free bits are never a line address. */
+    static constexpr std::uint64_t kEmpty = ~0ULL;
 
     std::uint64_t setOf(std::uint64_t line_addr) const;
-    Line *find(std::uint64_t line_addr);
-    /** Pick the LRU victim way in a set. */
-    int victimWay(std::uint64_t set) const;
-    /** Remove a specific line (for sibling drag-out); maybe writeback. */
-    void dropLine(std::uint64_t line_addr, LlcOutcome &out,
-                  bool emit_writeback);
-    /** Insert a line, evicting as needed. */
-    void fill(std::uint64_t line_addr, bool dirty, bool upgraded,
-              LlcOutcome &out);
+    std::uint64_t *ways(std::uint64_t line_addr);
+    /** @return the way of `set` holding line_addr, or -1. */
+    int find(const std::uint64_t *set, std::uint64_t line_addr) const;
+    /** Make way `w` of `set` the most recently used. */
+    void touch(std::uint64_t *set, int w);
+    /** Insert `entry` as the most recent way of `set`, evicting the
+     *  least recent one (and an upgraded victim's sibling). */
+    void fill(std::uint64_t *set, std::uint64_t entry, LlcOutcome &out);
 
     std::uint64_t sets_;
-    std::vector<Line> lines_; // sets_ x assoc
-    std::uint64_t clock_ = 0;
+    int assoc_;
+    std::vector<std::uint64_t> ways_; // sets_ x assoc_
 };
 
 /** The sectored alternative. */

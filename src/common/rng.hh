@@ -122,9 +122,24 @@ class Rng
     {
         if (mean <= 1.0)
             return 1;
+        return geometricFromLog(geometricLogKeep(mean));
+    }
+
+    /** @return log(1 - 1/mean), geometric(mean)'s constant, for a
+     *  caller that draws many variates of one mean > 1. */
+    static double
+    geometricLogKeep(double mean)
+    {
+        return std::log(1.0 - 1.0 / mean);
+    }
+
+    /** @return geometric(mean) given log_keep = geometricLogKeep(mean)
+     *  of a mean > 1. */
+    std::uint64_t
+    geometricFromLog(double log_keep)
+    {
         double u = 1.0 - uniform();
-        double p = 1.0 / mean;
-        double v = std::log(u) / std::log(1.0 - p);
+        double v = std::log(u) / log_keep;
         std::uint64_t n = static_cast<std::uint64_t>(v) + 1;
         return n == 0 ? 1 : n;
     }

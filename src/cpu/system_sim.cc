@@ -20,6 +20,19 @@
 namespace arcc
 {
 
+namespace
+{
+
+/** addr wrapped into [0, capacity); divides only when it is outside
+ *  (trace streams may address past the end, generated ones do not). */
+std::uint64_t
+wrapAddr(std::uint64_t addr, std::uint64_t capacity)
+{
+    return addr < capacity ? addr : addr % capacity;
+}
+
+} // anonymous namespace
+
 // ---------------------------------------------------------------------
 // PageUpgradeOracle
 // ---------------------------------------------------------------------
@@ -74,18 +87,18 @@ PageUpgradeOracle::upgraded(std::uint64_t addr) const
       case Scenario::Lane:
         return true;
       case Scenario::Device: {
-        DramCoord c = map_->decode(addr % map_->capacity());
+        DramCoord c = map_->decode(wrapAddr(addr, map_->capacity()));
         return c.rank == 0;
       }
       case Scenario::Bank: {
-        DramCoord c = map_->decode(addr % map_->capacity());
+        DramCoord c = map_->decode(wrapAddr(addr, map_->capacity()));
         return c.rank == 0 && c.bank == 0;
       }
       case Scenario::Column: {
         // A column fault touches one column of one bank; under the
         // worst-case assumption every page whose half-row contains that
         // column is upgraded (half the pages of the bank, Table 7.4).
-        DramCoord c = map_->decode(addr % map_->capacity());
+        DramCoord c = map_->decode(wrapAddr(addr, map_->capacity()));
         return c.rank == 0 && c.bank == 0 &&
                c.column < map_->linesPerRow() / 2;
       }
@@ -308,7 +321,7 @@ simulateStreams(std::vector<StreamSpec> streams,
         CoreState &core = cores[ci];
         const double now = core.readyAt;
 
-        std::uint64_t addr = core.pending.addr % capacity;
+        std::uint64_t addr = wrapAddr(core.pending.addr, capacity);
         bool upgraded = oracle.upgraded(addr);
         LlcOutcome out =
             llc->access(addr, core.pending.isWrite, upgraded);
@@ -320,7 +333,7 @@ simulateStreams(std::vector<StreamSpec> streams,
             scrubUntil(now);
             // Dirty evictions go to memory without stalling the core.
             for (const Writeback &wb : out.writebacks) {
-                issue(now, wb.addr % capacity, /*is_write=*/true,
+                issue(now, wrapAddr(wb.addr, capacity), /*is_write=*/true,
                       wb.paired);
                 res.memWrites += wb.paired ? 2 : 1;
             }

@@ -116,6 +116,8 @@ CoreWorkload::CoreWorkload(const BenchmarkProfile &profile,
     regionLines_ = fp_bytes / kLineBytes;
     lastLine_ = 0;
     meanGap_ = 1000.0 / profile.apki;
+    if (meanGap_ > 1.0)
+        gapLogKeep_ = Rng::geometricLogKeep(meanGap_);
 }
 
 CoreWorkload::Access
@@ -123,13 +125,16 @@ CoreWorkload::next()
 {
     Access a;
     if (rng_.chance(profile_.spatial)) {
-        lastLine_ = (lastLine_ + 1) % regionLines_;
+        if (++lastLine_ == regionLines_)
+            lastLine_ = 0;
     } else {
         lastLine_ = rng_.below(regionLines_);
     }
     a.addr = regionBase_ + lastLine_ * kLineBytes;
     a.isWrite = rng_.chance(profile_.writeFrac);
-    a.instrGap = rng_.geometric(meanGap_);
+    // Rng::geometric(meanGap_) with its logarithm hoisted.
+    a.instrGap =
+        meanGap_ > 1.0 ? rng_.geometricFromLog(gapLogKeep_) : 1;
     return a;
 }
 

@@ -107,6 +107,8 @@ class CoreWorkload
     std::uint64_t regionLines_;
     std::uint64_t lastLine_;
     double meanGap_;
+    /** Rng::geometricLogKeep(meanGap_), when meanGap_ > 1. */
+    double gapLogKeep_ = 0.0;
 };
 
 } // namespace arcc

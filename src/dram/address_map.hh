@@ -22,6 +22,7 @@
 #ifndef ARCC_DRAM_ADDRESS_MAP_HH
 #define ARCC_DRAM_ADDRESS_MAP_HH
 
+#include <array>
 #include <cstdint>
 
 #include "common/units.hh"
@@ -72,7 +73,9 @@ class AddressMap
     /**
      * @param addr physical byte address (any alignment; reduced to
      *             its 64B line internally).  Must be < capacity().
-     * @return coordinates of the line containing addr.
+     * @return coordinates of the line containing addr.  Divides by
+     *         multiplying with precomputed reciprocals, exact for
+     *         every line of a map of at most 2^32 lines.
      */
     DramCoord decode(std::uint64_t addr) const;
 
@@ -105,13 +108,33 @@ class AddressMap
     MapPolicy policy() const { return policy_; }
 
   private:
+    /** The coordinates below the row, in a mixed-radix line index. */
+    enum Field
+    {
+        kChannel,
+        kColumn,
+        kBank,
+        kRank,
+        kFields
+    };
+
+    /** One digit of the line index (the policy orders them). */
+    struct Digit
+    {
+        Field field;
+        std::uint64_t radix;
+        /** floor((2^64 - 1) / radix): for n < 2^32,
+         *  n / radix == (n + 1) * reciprocal >> 64. */
+        std::uint64_t reciprocal;
+    };
+
     MapPolicy policy_;
     int channels_;
-    int ranks_;
-    int banks_;
     std::uint32_t rows_;
     std::uint32_t lines_per_row_;
     std::uint64_t capacity_;
+    /** The digits below the row, least significant first. */
+    std::array<Digit, kFields> digits_;
 };
 
 } // namespace arcc

@@ -6,6 +6,7 @@
 #include "dram/mem_controller.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.hh"
 #include "common/units.hh"
@@ -24,28 +25,42 @@ MemChannel::MemChannel(const MemoryConfig &config,
       rankActReady_(ranks_, 0.0),
       rankState_(ranks_)
 {
+    if (ctrl.queueDepth < 1)
+        fatal("MemChannel: queueDepth must be >= 1, got %d",
+              ctrl.queueDepth);
+    recent_.assign(static_cast<std::size_t>(ctrl.queueDepth),
+                   -std::numeric_limits<double>::infinity());
+
+    const double tck = dev_.tCK;
+    const double t_rcd = dev_.tRCD * tck;
+    const double t_cl = dev_.clCycles * tck;
+    const double t_cwl = (dev_.clCycles - 1) * tck; // DDR2: CWL = CL-1
+    tBurst_ = dev_.burstCycles() * tck;
+    tRc_ = dev_.tRC * tck;
+    tRrd_ = dev_.tRRD * tck;
+    tWr_ = dev_.tWR * tck;
+    tRp_ = dev_.tRP * tck;
+    tWtr_ = dev_.tWTR * tck;
+    casOffset_[0] = t_rcd + t_cl;
+    casOffset_[1] = t_rcd + t_cwl;
+    accessNj_[0] = dev_.actPreEnergy() + dev_.readBurstEnergy();
+    accessNj_[1] = dev_.actPreEnergy() + dev_.writeBurstEnergy();
 }
 
 double
 MemChannel::admissionTime(double arrival) const
 {
-    std::size_t depth = static_cast<std::size_t>(ctrl_.queueDepth);
-    if (outstanding_.size() < depth)
-        return arrival;
-    // The request must wait until enough older requests drain that a
-    // queue slot frees up.
-    double frees = outstanding_[outstanding_.size() - depth];
-    return std::max(arrival, frees);
+    // The request must wait until the queueDepth-th youngest request
+    // drains and a queue slot frees up.
+    return std::max(arrival, recent_[recentNext_]);
 }
 
 void
 MemChannel::noteOutstanding(double completion)
 {
-    outstanding_.push_back(completion);
-    // Bound memory: drop entries that can no longer matter.
-    std::size_t depth = static_cast<std::size_t>(ctrl_.queueDepth);
-    while (outstanding_.size() > 4 * depth)
-        outstanding_.pop_front();
+    recent_[recentNext_] = completion;
+    if (++recentNext_ == recent_.size())
+        recentNext_ = 0;
 }
 
 double
@@ -87,39 +102,28 @@ MemResponse
 MemChannel::commit(double issue, const DramCoord &coord, bool is_write,
                    int devicesTouched)
 {
-    const double tck = dev_.tCK;
-    const double t_rcd = dev_.tRCD * tck;
-    const double t_cl = dev_.clCycles * tck;
-    const double t_cwl = (dev_.clCycles - 1) * tck; // DDR2: CWL = CL-1
-    const double t_burst = dev_.burstCycles() * tck;
-    const double t_rc = dev_.tRC * tck;
-    const double t_rrd = dev_.tRRD * tck;
-    const double t_wr = dev_.tWR * tck;
-    const double t_rp = dev_.tRP * tck;
-    const double t_wtr = dev_.tWTR * tck;
-
-    const double cas_offset = t_rcd + (is_write ? t_cwl : t_cl);
+    const double cas_offset = casOffset_[is_write];
 
     // Bus constraint, plus turnaround when the direction flips.
     double bus_ready = busFree_;
     if (accesses_ > 0 && lastWasWrite_ != is_write)
-        bus_ready += t_wtr;
+        bus_ready += tWtr_;
     double data_start = std::max(issue + cas_offset, bus_ready);
     // If the bus forced a delay, hold the ACT back so the row is not
     // sitting open longer than needed (closed-page controllers chain
     // ACT->CAS->PRE back to back).
     double eff_issue = data_start - cas_offset;
-    double completion = data_start + t_burst;
+    double completion = data_start + tBurst_;
 
     const std::size_t bank_idx =
         static_cast<std::size_t>(coord.rank) * banks_ + coord.bank;
-    double bank_busy_until = eff_issue + t_rc;
+    double bank_busy_until = eff_issue + tRc_;
     if (is_write) {
         bank_busy_until =
-            std::max(bank_busy_until, completion + t_wr + t_rp);
+            std::max(bank_busy_until, completion + tWr_ + tRp_);
     }
     bankFree_[bank_idx] = bank_busy_until;
-    rankActReady_[coord.rank] = eff_issue + t_rrd;
+    rankActReady_[coord.rank] = eff_issue + tRrd_;
     lastIssue_ = std::max(lastIssue_, eff_issue);
     busFree_ = completion;
     lastWasWrite_ = is_write;
@@ -128,10 +132,7 @@ MemChannel::commit(double issue, const DramCoord &coord, bool is_write,
     // cycles; all devices of the rank pay background, only the accessed
     // devices pay ACT/PRE + burst energy.
     accountActivity(rankState_[coord.rank], eff_issue, bank_busy_until);
-    double e_dyn = dev_.actPreEnergy() +
-                   (is_write ? dev_.writeBurstEnergy()
-                             : dev_.readBurstEnergy());
-    power_.dynamicNj += e_dyn * devicesTouched;
+    power_.dynamicNj += accessNj_[is_write] * devicesTouched;
 
     noteOutstanding(completion);
     ++accesses_;

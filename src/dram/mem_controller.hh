@@ -33,7 +33,6 @@
 #define ARCC_DRAM_MEM_CONTROLLER_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "dram/address_map.hh"
@@ -52,7 +51,7 @@ enum class PairingPolicy
 /** Controller knobs. */
 struct ControllerConfig
 {
-    /** Per-channel request queue capacity. */
+    /** Per-channel request queue capacity (>= 1). */
     int queueDepth = 32;
     /** Enter precharge power-down after this much rank idle time (ns). */
     double powerDownThresholdNs = 100.0;
@@ -93,6 +92,7 @@ struct PowerBreakdown
 class MemChannel
 {
   public:
+    /** fatal() when ctrl.queueDepth < 1. */
     MemChannel(const MemoryConfig &config, const ControllerConfig &ctrl);
 
     /**
@@ -156,6 +156,18 @@ class MemChannel
     int banks_;
     int ranks_;
 
+    /** Device timings in ns, fixed at construction. */
+    double tBurst_ = 0.0;
+    double tRc_ = 0.0;
+    double tRrd_ = 0.0;
+    double tWr_ = 0.0;
+    double tRp_ = 0.0;
+    double tWtr_ = 0.0;
+    /** ACT-to-data offset (tRCD + CL or CWL), indexed by is_write. */
+    double casOffset_[2] = {};
+    /** Per-device ACT/PRE + burst energy (nJ), indexed by is_write. */
+    double accessNj_[2] = {};
+
     /** bankFree_[rank * banks_ + bank]: earliest next ACT. */
     std::vector<double> bankFree_;
     /** Per-rank earliest next ACT honouring tRRD. */
@@ -167,8 +179,11 @@ class MemChannel
     /** Youngest committed ACT time (for FIFO-partition pairing). */
     double lastIssue_ = 0.0;
 
-    /** Outstanding completions for queue backpressure. */
-    std::deque<double> outstanding_;
+    /** Completions of the last queueDepth requests, a ring whose
+     *  oldest entry is at recentNext_; -inf marks an unused slot, so
+     *  a queue that never filled delays no admission. */
+    std::vector<double> recent_;
+    std::size_t recentNext_ = 0;
 
     PowerBreakdown power_;
     std::uint64_t accesses_ = 0;

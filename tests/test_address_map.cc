@@ -23,6 +23,21 @@ struct MapCase
     MapPolicy policy;
 };
 
+/**
+ * arccConfig() at 3 channels x 3 ranks with 3 pages per row: 9 GiB
+ * with 64 lines per row slice.  The channel and rank counts are not
+ * powers of two, so a decode by shifts and masks would go wrong here.
+ */
+MemoryConfig
+arccConfig3x3()
+{
+    MemoryConfig cfg = arccConfig();
+    cfg.pagesPerRow = 3;
+    cfg = withChannels(cfg, 3);
+    cfg.ranksPerChannel = 3;
+    return cfg;
+}
+
 MemoryConfig
 configByName(const std::string &name)
 {
@@ -34,7 +49,49 @@ configByName(const std::string &name)
         return arccConfig4();
     if (name == "arcc8")
         return arccConfig8();
-    return lotEcc9Config();
+    if (name == "lot9")
+        return lotEcc9Config();
+    return arccConfig3x3();
+}
+
+/** The division-based decode AddressMap::decode replaced: peel each
+ *  field off the line index with % and /, in the policy's order. */
+DramCoord
+referenceDecode(const MemoryConfig &cfg, MapPolicy policy,
+                const AddressMap &map, std::uint64_t addr)
+{
+    std::uint64_t line = addr / kLineBytes;
+    auto take = [&line](std::uint64_t count) {
+        std::uint64_t v = line % count;
+        line /= count;
+        return v;
+    };
+    const std::uint64_t channels = cfg.channels;
+    const std::uint64_t ranks = cfg.ranksPerChannel;
+    const std::uint64_t banks = cfg.device.banks;
+    DramCoord c;
+    switch (policy) {
+      case MapPolicy::HiPerf:
+        c.channel = static_cast<int>(take(channels));
+        c.column = static_cast<std::uint32_t>(take(map.linesPerRow()));
+        c.bank = static_cast<int>(take(banks));
+        c.rank = static_cast<int>(take(ranks));
+        break;
+      case MapPolicy::ClosePage:
+        c.channel = static_cast<int>(take(channels));
+        c.column = static_cast<std::uint32_t>(take(map.linesPerRow()));
+        c.rank = static_cast<int>(take(ranks));
+        c.bank = static_cast<int>(take(banks));
+        break;
+      case MapPolicy::Base:
+        c.column = static_cast<std::uint32_t>(take(map.linesPerRow()));
+        c.channel = static_cast<int>(take(channels));
+        c.bank = static_cast<int>(take(banks));
+        c.rank = static_cast<int>(take(ranks));
+        break;
+    }
+    c.row = static_cast<std::uint32_t>(take(map.rows()));
+    return c;
 }
 
 class MapSweep : public ::testing::TestWithParam<MapCase>
@@ -51,6 +108,15 @@ TEST_P(MapSweep, DecodeEncodeRoundTripsOnRandomAddresses)
             (rng.below(map.capacity() / kLineBytes)) * kLineBytes;
         DramCoord c = map.decode(addr);
         EXPECT_EQ(map.encode(c), addr);
+        EXPECT_EQ(c, referenceDecode(cfg, GetParam().policy, map, addr));
+    }
+    // Both ends of the map, where an off-by-one reciprocal shows first.
+    const std::uint64_t last = map.capacity() - kLineBytes;
+    for (std::uint64_t addr : {std::uint64_t{0}, kLineBytes + 1,
+                               last - kLineBytes, last + kLineBytes - 1}) {
+        DramCoord c = map.decode(addr);
+        EXPECT_EQ(map.encode(c), addr & ~(kLineBytes - 1));
+        EXPECT_EQ(c, referenceDecode(cfg, GetParam().policy, map, addr));
     }
 }
 
@@ -98,7 +164,10 @@ INSTANTIATE_TEST_SUITE_P(
                       MapCase{"arcc4", MapPolicy::ClosePage},
                       MapCase{"arcc8", MapPolicy::HiPerf},
                       MapCase{"arcc8", MapPolicy::Base},
-                      MapCase{"lot9", MapPolicy::HiPerf}),
+                      MapCase{"lot9", MapPolicy::HiPerf},
+                      MapCase{"arcc3x3", MapPolicy::HiPerf},
+                      MapCase{"arcc3x3", MapPolicy::ClosePage},
+                      MapCase{"arcc3x3", MapPolicy::Base}),
     [](const ::testing::TestParamInfo<MapCase> &info) {
         std::string policy =
             info.param.policy == MapPolicy::HiPerf      ? "HiPerf"

@@ -94,14 +94,15 @@ TEST(CodecRegistry, FamiliesMatchKeys)
     for (const std::string &key : codecs::names()) {
         const std::string family =
             codecs::make(key)->traits().family;
-        if (rs.count(key))
+        if (rs.count(key)) {
             EXPECT_EQ(family, "rs") << key;
-        else if (key.rfind("lot", 0) == 0)
+        } else if (key.rfind("lot", 0) == 0) {
             EXPECT_EQ(family, "lot") << key;
-        else if (key.rfind("bch", 0) == 0)
+        } else if (key.rfind("bch", 0) == 0) {
             EXPECT_EQ(family, "bch") << key;
-        else if (key == "hsiao72")
+        } else if (key == "hsiao72") {
             EXPECT_EQ(family, "secded") << key;
+        }
     }
 }
 

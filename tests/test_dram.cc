@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/rng.hh"
 #include "common/units.hh"
 #include "dram/channel_shard.hh"
@@ -138,6 +141,41 @@ TEST(MemChannel, QueueBackpressureDelaysAdmission)
     // 16 same-bank requests at depth 4: admission must have pushed
     // later requests well past 4 * tRC.
     EXPECT_GT(last, 15 * cfg.device.tRC * cfg.device.tCK - 1e-9);
+}
+
+TEST(MemChannel, AdmissionWaitsForTheDepthThYoungestCompletion)
+{
+    // A full queue of depth d admits a request once the d-th youngest
+    // completion drains; a queue that never filled admits at arrival.
+    MemoryConfig cfg = arccConfig();
+    ControllerConfig ctrl;
+    ctrl.queueDepth = 4;
+    MemChannel ch(cfg, ctrl);
+    std::vector<double> completions;
+    for (int i = 0; i < 11; ++i) {
+        double expected = completions.size() < 4
+                              ? 5.0
+                              : completions[completions.size() - 4];
+        EXPECT_EQ(ch.admissionTime(5.0), expected) << "request " << i;
+        completions.push_back(100.0 + 10.0 * i);
+        ch.noteOutstanding(completions.back());
+    }
+    EXPECT_EQ(ch.admissionTime(1000.0), 1000.0);
+}
+
+TEST(MemChannelDeathTest, QueueDepthBelowOneIsFatal)
+{
+    // Depth 0 leaves no slot to wait for, and a negative depth has no
+    // bounded completion history to keep.
+    MemoryConfig cfg = arccConfig();
+    for (int depth : {0, -1}) {
+        ControllerConfig ctrl;
+        ctrl.queueDepth = depth;
+        EXPECT_EXIT({ MemChannel ch(cfg, ctrl); },
+                    ::testing::ExitedWithCode(1),
+                    "queueDepth must be >= 1, got " +
+                        std::to_string(depth));
+    }
 }
 
 // --- the memory system: an AddressMap plus a ChannelSet ------------------
@@ -369,6 +407,36 @@ TEST(MemoryConfigChannelsDeathTest, IndivisibleRowSplitIsFatal)
                 ::testing::ExitedWithCode(1), "split over");
     EXPECT_EXIT(withChannels(arccConfig(), 0),
                 ::testing::ExitedWithCode(1), ">= 1 channel");
+}
+
+TEST(AddressMapDeathTest, DecodeIsExactUpTo2To32LinesAndRefusesMore)
+{
+    // AddressMap::decode's reciprocals are exact for up to 2^32 lines:
+    // 128 ranks per ARCC channel make exactly that many (256 GiB), and
+    // 256 ranks twice as many.  (test_address_map.cc compares decode
+    // with the division it replaced.)
+    MemoryConfig cfg = arccConfig();
+    cfg.ranksPerChannel = 128;
+    for (MapPolicy policy :
+         {MapPolicy::HiPerf, MapPolicy::ClosePage, MapPolicy::Base}) {
+        AddressMap map(cfg, policy);
+        ASSERT_EQ(map.capacity() / kLineBytes, 1ULL << 32);
+        Rng rng(6);
+        for (int t = 0; t < 2000; ++t) {
+            // The last GiB, where line indices approach 2^32.
+            std::uint64_t addr = map.capacity() - 1 - rng.below(kGiB);
+            DramCoord c = map.decode(addr);
+            EXPECT_EQ(map.encode(c), addr & ~(kLineBytes - 1));
+            EXPECT_LT(c.channel, cfg.channels);
+            EXPECT_LT(c.rank, cfg.ranksPerChannel);
+            EXPECT_LT(c.bank, cfg.device.banks);
+            EXPECT_LT(c.column, map.linesPerRow());
+            EXPECT_LT(c.row, map.rows());
+        }
+    }
+    cfg.ranksPerChannel = 256;
+    EXPECT_EXIT(AddressMap(cfg, MapPolicy::HiPerf),
+                ::testing::ExitedWithCode(1), "exceeds 2\\^32 lines");
 }
 
 TEST(ChannelSet, MatchesMemorySystemRequestForRequest)

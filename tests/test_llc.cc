@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "cache/llc.hh"
 #include "common/rng.hh"
@@ -231,6 +232,217 @@ TEST(SectoredLlc, SecondSubsectorFillsWithoutEviction)
     EXPECT_TRUE(llc.access(0x40, false, false).hit);
 }
 
+
+// --- the recency-ordered design against the original model -------------
+
+/**
+ * The paired-tag design as first written: an array of 24-byte ways
+ * stamped from a per-access clock, whose victim is the first invalid
+ * way, else the least recently used one.  PairedTagLlc keeps each set
+ * in recency order instead and must agree with this access for access.
+ */
+class ReferencePairedTagLlc : public BaseLlc
+{
+  public:
+    explicit ReferencePairedTagLlc(const CacheConfig &config)
+        : BaseLlc(config),
+          sets_(config.sizeBytes /
+                (static_cast<std::uint64_t>(config.assoc) *
+                 config.lineBytes)),
+          lines_(sets_ * config.assoc)
+    {
+    }
+
+    LlcOutcome
+    access(std::uint64_t addr, bool is_write, bool upgraded) override
+    {
+        LlcOutcome out;
+        ++clock_;
+        std::uint64_t line_addr = addr & ~(kLineBytes - 1);
+        if (Line *l = find(line_addr)) {
+            out.hit = true;
+            ++stats_.hits;
+            l->lastUse = clock_;
+            if (is_write)
+                l->dirty = true;
+            if (l->upgraded) {
+                if (Line *sib = find(line_addr ^ kLineBytes))
+                    sib->lastUse = clock_;
+            }
+            return out;
+        }
+        ++stats_.misses;
+        fill(line_addr, is_write, upgraded, out);
+        if (upgraded) {
+            std::uint64_t sib = line_addr ^ kLineBytes;
+            if (Line *l = find(sib))
+                l->upgraded = true;
+            else
+                fill(sib, /*dirty=*/false, /*upgraded=*/true, out);
+            ++stats_.pairedFills;
+        }
+        return out;
+    }
+
+    void
+    flush() override
+    {
+        for (Line &l : lines_)
+            l = Line{};
+        clock_ = 0;
+    }
+
+    bool checkInvariants() const override { return true; }
+
+  private:
+    struct Line
+    {
+        bool valid = false;
+        bool dirty = false;
+        bool upgraded = false;
+        std::uint64_t lineAddr = 0;
+        std::uint64_t lastUse = 0;
+    };
+
+    Line *
+    set(std::uint64_t line_addr)
+    {
+        return &lines_[((line_addr / kLineBytes) & (sets_ - 1)) *
+                       config_.assoc];
+    }
+
+    Line *
+    find(std::uint64_t line_addr)
+    {
+        Line *base = set(line_addr);
+        for (int w = 0; w < config_.assoc; ++w)
+            if (base[w].valid && base[w].lineAddr == line_addr)
+                return &base[w];
+        return nullptr;
+    }
+
+    void
+    fill(std::uint64_t line_addr, bool dirty, bool upgraded,
+         LlcOutcome &out)
+    {
+        Line *base = set(line_addr);
+        Line *slot = nullptr;
+        for (int w = 0; w < config_.assoc && !slot; ++w)
+            if (!base[w].valid)
+                slot = &base[w];
+        if (!slot) {
+            slot = &base[0];
+            for (int w = 1; w < config_.assoc; ++w)
+                if (base[w].lastUse < slot->lastUse)
+                    slot = &base[w];
+        }
+        if (slot->valid) {
+            out.replaced = true;
+            ++stats_.evictions;
+            if (slot->dirty) {
+                Writeback wb;
+                wb.addr = slot->upgraded
+                              ? slot->lineAddr & ~(kUpgradedLineBytes - 1)
+                              : slot->lineAddr;
+                wb.paired = slot->upgraded;
+                out.writebacks.push_back(wb);
+                if (slot->upgraded)
+                    ++stats_.pairedWritebacks;
+            }
+            if (slot->upgraded) {
+                // The sibling leaves too, covered by the paired
+                // writeback above.
+                slot->valid = false;
+                if (Line *sib = find(slot->lineAddr ^ kLineBytes)) {
+                    sib->valid = false;
+                    ++stats_.evictions;
+                }
+            }
+        }
+        *slot = Line{true, dirty, upgraded, line_addr, clock_};
+    }
+
+    std::uint64_t sets_;
+    std::vector<Line> lines_;
+    std::uint64_t clock_ = 0;
+};
+
+/**
+ * One seeded stream through PairedTagLlc and the reference: runs of
+ * adjacent lines between jumps (a hot eighth of the footprint takes a
+ * third of the jumps), 30% writes, over four times the cache's lines.
+ * Pages upgrade one by one as the run goes on, the way faults upgrade
+ * them, so the stream mixes relaxed and upgraded lines and turns
+ * resident relaxed lines into siblings of upgraded ones.
+ */
+void
+expectMatchesReference(const CacheConfig &cfg, int accesses)
+{
+    PairedTagLlc llc(cfg);
+    ReferencePairedTagLlc ref(cfg);
+    const std::uint64_t lines = 4 * cfg.sizeBytes / kLineBytes;
+    auto upgraded_at = [&](std::uint64_t addr, int i) {
+        std::uint64_t z = Rng::mix64(addr / kPageBytes);
+        return z % (accesses + accesses / 2) < static_cast<unsigned>(i);
+    };
+    Rng rng(2013);
+    std::uint64_t line = 0;
+    std::uint64_t paired_wbs = 0, single_wbs = 0;
+    for (int i = 0; i < accesses; ++i) {
+        if (rng.chance(0.5))
+            line = (line + 1) % lines;
+        else if (rng.chance(0.3))
+            line = rng.below(lines / 8);
+        else
+            line = rng.below(lines);
+        const std::uint64_t addr = line * kLineBytes + rng.below(kLineBytes);
+        const bool write = rng.chance(0.3);
+        const bool upgraded = upgraded_at(addr, i);
+
+        const LlcOutcome got = llc.access(addr, write, upgraded);
+        const LlcOutcome want = ref.access(addr, write, upgraded);
+        ASSERT_EQ(got.hit, want.hit) << "access " << i;
+        ASSERT_EQ(got.replaced, want.replaced) << "access " << i;
+        ASSERT_EQ(got.writebacks.size(), want.writebacks.size())
+            << "access " << i;
+        for (std::size_t k = 0; k < got.writebacks.size(); ++k) {
+            ASSERT_EQ(got.writebacks[k].addr, want.writebacks[k].addr)
+                << "access " << i << " writeback " << k;
+            ASSERT_EQ(got.writebacks[k].paired, want.writebacks[k].paired)
+                << "access " << i << " writeback " << k;
+            ++(got.writebacks[k].paired ? paired_wbs : single_wbs);
+        }
+        if (i % 256 == 0) {
+            ASSERT_TRUE(llc.checkInvariants()) << "after access " << i;
+        }
+    }
+    EXPECT_TRUE(llc.checkInvariants());
+
+    const LlcStats &a = llc.stats(), &b = ref.stats();
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.evictions, b.evictions);
+    EXPECT_EQ(a.pairedFills, b.pairedFills);
+    EXPECT_EQ(a.pairedWritebacks, b.pairedWritebacks);
+    // The stream reached every path it is meant to compare.
+    EXPECT_GT(a.hits, static_cast<std::uint64_t>(accesses) / 10);
+    EXPECT_GT(a.pairedFills, static_cast<std::uint64_t>(accesses) / 10);
+    EXPECT_GT(paired_wbs, 100u);
+    EXPECT_GT(single_wbs, 100u);
+}
+
+TEST(PairedTagLlc, MatchesTheReferenceModelAtTheTestGeometry)
+{
+    expectMatchesReference(smallCache(), 100000);
+}
+
+TEST(PairedTagLlc, MatchesTheReferenceModelAtTheDefaultGeometry)
+{
+    CacheConfig cfg; // 1 MiB, 16-way: the system simulator's LLC.
+    ASSERT_EQ(cfg.sizeBytes, 1 * kMiB);
+    ASSERT_EQ(cfg.assoc, 16);
+    expectMatchesReference(cfg, 400000);
+}
 
 // --- structural invariants under random traffic --------------------------
 
