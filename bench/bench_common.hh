@@ -2,7 +2,9 @@
  * @file
  * Shared plumbing for the per-figure bench binaries.
  *
- * Every bench prints the rows/series of one paper table or figure.
+ * Every bench prints the rows/series of one paper table or figure,
+ * and states each paper claim it checks through shapeRow: a bench
+ * with a failed claim exits 1.
  * The simulated instruction budget scales with ARCC_BENCH_INSTRS
  * (default one million per core, which reproduces the shapes in a few
  * seconds per figure; the paper used 2 billion cycles in M5).
@@ -125,6 +127,50 @@ systemConfig(const MemoryConfig &mem)
     return cfg;
 }
 
+/** One Table 7.3 mix run fault-free on both Table 7.1 configurations. */
+struct FaultFreePair
+{
+    SimResult base;
+    SimResult arcc;
+
+    /** Figure 7.1's power reduction: 1 - ARCC / baseline power. */
+    double
+    powerSaving() const
+    {
+        return 1.0 - arcc.avgPowerMw / base.avgPowerMw;
+    }
+
+    /** Figure 7.1's performance gain: ARCC / baseline IPC sum - 1. */
+    double
+    perfGain() const
+    {
+        return arcc.ipcSum / base.ipcSum - 1.0;
+    }
+};
+
+/**
+ * Figure 7.1's grid: every Table 7.3 mix, fault-free, on the baseline
+ * and on ARCC, submitted to the SimEngine as one simulateMixBatch.
+ * Pairs come back in mix order, so a reduction in that order is
+ * bit-identical at any thread count.
+ */
+inline std::vector<FaultFreePair>
+runFaultFreeGrid()
+{
+    const SystemConfig base_cfg = systemConfig(baselineConfig());
+    const SystemConfig arcc_cfg = systemConfig(arccConfig());
+    std::vector<MixJob> jobs;
+    for (const WorkloadMix &mix : table73Mixes()) {
+        jobs.push_back({mix, base_cfg, {}});
+        jobs.push_back({mix, arcc_cfg, {}});
+    }
+    const std::vector<SimResult> results = simulateMixBatch(jobs);
+    std::vector<FaultFreePair> pairs;
+    for (std::size_t j = 0; j < results.size(); j += 2)
+        pairs.push_back({results[j], results[j + 1]});
+    return pairs;
+}
+
 /** The Table 7.4 fault scenarios in paper order. */
 inline const std::vector<PageUpgradeOracle::Scenario> &
 faultScenarios()
@@ -207,18 +253,37 @@ measureScenarioOverheads(int mixes = 12)
     return out;
 }
 
+/** Set by every failed shapeRow; exitStatus() reads it. */
+inline bool anyShapeFailed = false;
+
 /**
- * Emit one paper shape check as a {"bench":"shape"} row and return
- * its verdict.  The figure benches exit nonzero when any check fails,
- * so a `NO` fails the binary (and CI) instead of only being printed.
+ * State one paper claim: emit it as a {"bench":"shape"} row and print
+ * the human line "  <check> (<measured>): yes|NO".  A failed claim
+ * makes exitStatus() 1, so a `NO` fails the binary (and CI) instead
+ * of only being printed.
+ *
+ * @param measured the numbers behind the verdict, for the human line
+ *                 only (empty prints none).
  */
-inline bool
-shapeRow(const std::string &figure, const std::string &check, bool pass)
+inline void
+shapeRow(const std::string &figure, const std::string &check, bool pass,
+         const std::string &measured = "")
 {
     jsonRow("shape", {{"figure", "\"" + figure + "\""},
                       {"check", "\"" + check + "\""},
                       {"pass", pass ? "true" : "false"}});
-    return pass;
+    const std::string detail =
+        measured.empty() ? "" : " (" + measured + ")";
+    std::printf("  %s%s: %s\n", check.c_str(), detail.c_str(),
+                pass ? "yes" : "NO");
+    anyShapeFailed = anyShapeFailed || !pass;
+}
+
+/** The bench's exit status: 1 when any shapeRow failed, else 0. */
+inline int
+exitStatus()
+{
+    return anyShapeFailed ? 1 : 0;
 }
 
 /**

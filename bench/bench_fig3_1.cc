@@ -57,7 +57,9 @@ main()
     std::printf("\nPaper's shape: 'the fraction of pages with fault is "
                 "just a few percent during most\nof the lifetime of "
                 "the memory channel, even for a worst case failure "
-                "rate that is 4X as high'.\nReproduced: %s\n",
-                curves[2].avgFraction.back() < 0.06 ? "yes" : "NO");
-    return 0;
+                "rate that is 4X as high'.\n");
+    const double worst7 = curves[2].avgFraction.back();
+    bench::shapeRow("fig3_1", "pages affected at 4x after 7 years < 6%",
+                    worst7 < 0.06, TextTable::pct(worst7, 3));
+    return bench::exitStatus();
 }

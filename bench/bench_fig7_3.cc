@@ -77,21 +77,17 @@ main()
     t.print();
 
     std::printf("\nShape checks (paper Section 7.2):\n");
-    const bool improve = bench::shapeRow(
-        "fig7_3", "some mixes improve under a lane fault", improved > 0);
-    std::printf("  some mixes improve under a lane fault (prefetch "
-                "effect): %s (%d of 12)\n",
-                improve ? "yes" : "NO", improved);
-    const bool degrade = bench::shapeRow(
-        "fig7_3", "some mixes degrade under a lane fault", degraded > 0);
-    std::printf("  some mixes degrade under a lane fault: %s (%d of "
-                "12)\n",
-                degrade ? "yes" : "NO", degraded);
+    bench::shapeRow("fig7_3", "some mixes improve under a lane fault",
+                    improved > 0,
+                    "prefetch effect, " + std::to_string(improved) +
+                        " of 12");
+    bench::shapeRow("fig7_3", "some mixes degrade under a lane fault",
+                    degraded > 0, std::to_string(degraded) + " of 12");
     std::printf("  average degradation is negligible (paper: "
                 "'negligible performance degradation on average'): "
                 "avg lane norm %.3f\n",
                 per_scenario[0].mean());
     std::printf("  worst-case estimate for a lane fault is -50%% "
                 "(0.500): printed above.\n");
-    return improve && degrade ? 0 : 1;
+    return bench::exitStatus();
 }

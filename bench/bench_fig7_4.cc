@@ -9,11 +9,17 @@
  * injects fault arrivals over 7 years and accumulates each channel's
  * overhead from the arrival time onward; year X reports the fleet
  * average of the time-average through year X.
+ *
+ * The paper's closing claim -- ARCC still saves at least 30% power
+ * after 7 years at 4x the fault rate -- is checked against the
+ * Figure 7.1 saving this model measures on the same budget, not the
+ * paper's 36.7%.
  */
 
 #include <cstdio>
 
 #include "bench_common.hh"
+#include "common/stats.hh"
 #include "common/table.hh"
 #include "faults/lifetime_mc.hh"
 
@@ -70,16 +76,29 @@ main()
     }
     t.print();
 
-    double fault_free_saving = 0.367; // Figure 7.1 headline.
-    std::printf("\nShape checks:\n");
-    std::printf("  overhead grows with time and rate factor, stays "
-                "small: 4x year-7 measured %.2f%% (< 4%%): %s\n",
-                meas[2][6] * 100, meas[2][6] < 0.04 ? "yes" : "NO");
-    std::printf("  paper: 'power benefits from ARCC even at the end "
-                "of 7 years for 4X the fault rate is no less than "
-                "30%%': %.1f%% - %.2f%% = %.1f%% >= 30%%: %s\n",
-                fault_free_saving * 100, wc[2][6] * 100,
-                (fault_free_saving - wc[2][6]) * 100,
-                fault_free_saving - wc[2][6] >= 0.30 ? "yes" : "NO");
-    return 0;
+    // The fault-free saving s is Figure 7.1's, measured on the same
+    // budget.  The overhead o is on ARCC's own power, so the saving
+    // left over the baseline is 1 - (1 - s)(1 + o).
+    std::printf("\nMeasuring the fault-free power saving "
+                "(Figure 7.1 methodology)...\n");
+    RunningStat saving;
+    for (const bench::FaultFreePair &p : bench::runFaultFreeGrid())
+        saving.add(p.powerSaving());
+    const double s = saving.mean();
+    const double o = wc[2][6];
+    const double left = 1.0 - (1.0 - s) * (1.0 + o);
+
+    std::printf("\nShape checks (paper: 'power benefits from ARCC "
+                "even at the end of 7 years for 4X the\nfault rate is "
+                "no less than 30%%'):\n");
+    bench::shapeRow("fig7_4", "4x year-7 measured overhead < 4%",
+                    meas[2][6] < 0.04,
+                    TextTable::pct(meas[2][6], 2));
+    bench::shapeRow("fig7_4",
+                    "power saving at 4x after 7 years >= 30%",
+                    left >= 0.30,
+                    "1 - (1 - " + TextTable::pct(s) + ")(1 + " +
+                        TextTable::pct(o, 2) + ") = " +
+                        TextTable::pct(left));
+    return bench::exitStatus();
 }

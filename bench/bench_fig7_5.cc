@@ -74,12 +74,12 @@ main()
     }
     t.print();
 
-    std::printf("\nShape checks:\n");
-    std::printf("  measured degradation stays negligible (paper: "
-                "'the degradation both in terms of the worst case\n"
-                "  estimate and measured overheads is small'): 4x "
-                "year-7 measured %.3f%%, worst-case %.2f%%: %s\n",
-                meas[2][6] * 100, wc[2][6] * 100,
-                wc[2][6] < 0.04 ? "yes" : "NO");
-    return 0;
+    std::printf("\nShape checks (paper: 'the degradation both in terms "
+                "of the worst case estimate\nand measured overheads is "
+                "small'):\n");
+    bench::shapeRow("fig7_5", "4x year-7 worst-case degradation < 4%",
+                    wc[2][6] < 0.04,
+                    "worst case " + TextTable::pct(wc[2][6], 2) +
+                        ", measured " + TextTable::pct(meas[2][6], 3));
+    return bench::exitStatus();
 }

@@ -1,24 +1,19 @@
 /**
  * @file
  * Reproduces Tables 7.1-7.4 of the paper from the library's own
- * configuration structures (so the printed tables cannot drift from
- * what the simulations actually use), and appends a functional
- * boot-scrub of the small ARCC memory through the engine-sharded
- * Scrubber::scrubParallel path.
+ * configuration structures, so the printed tables cannot drift from
+ * what the simulations actually use.
  *
- * Machine-readable JSON rows accompany the tables; CI runs this bench
- * at 1 and N threads and diffs the whole stdout.  The executor count
- * goes to stderr.
+ * A machine-readable JSON row of the FIT rates accompanies the
+ * tables; CI runs this bench at 1 and N threads and diffs the whole
+ * stdout.
  */
 
 #include <cstdio>
 
-#include "arcc/scrubber.hh"
 #include "bench_common.hh"
-#include "common/rng.hh"
 #include "common/table.hh"
 #include "dram/dram_params.hh"
-#include "engine/sim_engine.hh"
 
 using namespace arcc;
 
@@ -122,42 +117,6 @@ table74()
     bench::jsonRow("tables_fit_rates", fields);
 }
 
-void
-functionalScrubAppendix()
-{
-    // Exercise the sharded scrubber on the functional plane the
-    // tables describe: boot an arccSmall memory with pseudo-random
-    // content and relax-demote it through scrubParallel.
-    printBanner("Appendix: boot scrub through the parallel engine");
-    ArccMemory mem(FunctionalConfig::arccSmall());
-    Rng rng(20130223);
-    for (std::uint64_t addr = 0; addr < mem.capacity();
-         addr += kLineBytes) {
-        std::vector<std::uint8_t> line(kLineBytes);
-        for (auto &b : line)
-            b = static_cast<std::uint8_t>(rng.below(256));
-        mem.write(addr, line);
-    }
-    ScrubReport rep = Scrubber().bootScrubParallel(mem);
-
-    std::fprintf(stderr, "scrubParallel on %d executor(s)\n",
-                 SimEngine::global().threads());
-    std::printf("scrubParallel: %llu lines, %llu pages relaxed, "
-                "%llu faulty\n",
-                static_cast<unsigned long long>(rep.linesScrubbed),
-                static_cast<unsigned long long>(rep.pagesRelaxed),
-                static_cast<unsigned long long>(
-                    rep.faultyPages.size()));
-    bench::jsonRow(
-        "tables_boot_scrub",
-        {{"linesScrubbed", bench::jsonNum(rep.linesScrubbed)},
-         {"pagesRelaxed", bench::jsonNum(rep.pagesRelaxed)},
-         {"faultyPages",
-          bench::jsonNum(
-              static_cast<std::uint64_t>(rep.faultyPages.size()))},
-         {"errorsCorrected", bench::jsonNum(rep.errorsCorrected)}});
-}
-
 } // namespace
 
 int
@@ -169,6 +128,5 @@ main()
     table72();
     table73();
     table74();
-    functionalScrubAppendix();
     return 0;
 }

@@ -5,7 +5,7 @@
  * fault scenario, and a budget; get power and performance.
  *
  * Usage:
- *   arcc_sim [--config baseline|arcc] [--mix MixN]
+ *   arcc_sim [--config baseline|arcc|arcc4|arcc8] [--mix MixN]
  *            [--fault none|lane|device|bank|column]
  *            [--fraction F] [--instrs N] [--sectored]
  *            [--trace file1,file2,file3,file4]
@@ -35,11 +35,11 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--config baseline|arcc] [--mix MixN]\n"
-        "          [--fault none|lane|device|bank|column]\n"
+        "usage: %s [--config %s] [--mix MixN]\n"
+        "          [--fault %s]\n"
         "          [--fraction F] [--instrs N] [--sectored]\n"
         "          [--trace f1,f2,f3,f4]\n",
-        argv0);
+        argv0, kMemoryConfigNames, PageUpgradeOracle::kScenarioNames);
 }
 
 } // namespace
@@ -87,27 +87,21 @@ main(int argc, char **argv)
         fatal("--fraction %g: need a page fraction in [0, 1]",
               fraction);
 
-    if (config_name == "baseline")
-        cfg.mem = baselineConfig();
-    else if (config_name == "arcc")
-        cfg.mem = arccConfig();
-    else
-        fatal("unknown --config '%s'", config_name.c_str());
+    const MemoryConfigPreset preset = memoryConfigPreset(config_name);
+    if (!preset)
+        fatal("unknown --config '%s' (%s)", config_name.c_str(),
+              kMemoryConfigNames);
+    cfg.mem = preset();
 
-    PageUpgradeOracle oracle;
-    using S = PageUpgradeOracle::Scenario;
-    if (fraction >= 0.0)
-        oracle = PageUpgradeOracle::forFraction(fraction, cfg.mem);
-    else if (fault == "lane")
-        oracle = PageUpgradeOracle::forScenario(S::Lane, cfg.mem);
-    else if (fault == "device")
-        oracle = PageUpgradeOracle::forScenario(S::Device, cfg.mem);
-    else if (fault == "bank")
-        oracle = PageUpgradeOracle::forScenario(S::Bank, cfg.mem);
-    else if (fault == "column")
-        oracle = PageUpgradeOracle::forScenario(S::Column, cfg.mem);
-    else if (fault != "none")
-        fatal("unknown --fault '%s'", fault.c_str());
+    const std::optional<PageUpgradeOracle::Scenario> scenario =
+        PageUpgradeOracle::scenarioByName(fault);
+    if (!scenario)
+        fatal("unknown --fault '%s' (%s)", fault.c_str(),
+              PageUpgradeOracle::kScenarioNames);
+    const PageUpgradeOracle oracle =
+        fraction >= 0.0
+            ? PageUpgradeOracle::forFraction(fraction, cfg.mem)
+            : PageUpgradeOracle::forScenario(*scenario, cfg.mem);
 
     SimResult res;
     if (!trace_arg.empty()) {
@@ -123,10 +117,7 @@ main(int argc, char **argv)
             fatal("--trace needs exactly 4 comma-separated files");
         res = simulateStreams(std::move(streams), cfg, oracle);
     } else {
-        const WorkloadMix *mix = nullptr;
-        for (const auto &m : table73Mixes())
-            if (m.name == mix_name)
-                mix = &m;
+        const WorkloadMix *mix = mixByName(mix_name);
         if (!mix)
             fatal("unknown --mix '%s' (Mix1..Mix12)", mix_name.c_str());
         res = simulateMix(*mix, cfg, oracle);

@@ -69,17 +69,19 @@ main()
         const char *checks;
     };
     std::vector<Entry> entries;
-    entries.push_back({"commercial SCCDCD", schemes::commercialSccdcd(),
+    entries.push_back({"commercial SCCDCD", codecs::make("sccdcd"),
                        "4"});
-    entries.push_back({"double chip sparing",
-                       schemes::doubleChipSparing(), "4 (3+spare)"});
-    entries.push_back({"ARCC relaxed", schemes::arccRelaxed(), "2"});
-    entries.push_back({"ARCC upgraded", schemes::arccUpgraded(), "4"});
-    entries.push_back({"ARCC upgraded-2", schemes::arccUpgraded2(),
-                       "8"});
-    entries.push_back({"LOT-ECC 9-device", schemes::lotEcc9(),
+    entries.push_back({"double chip sparing", codecs::make("dcs"),
+                       "4 (3+spare)"});
+    entries.push_back({"ARCC relaxed", codecs::make("arcc-relaxed"),
+                       "2"});
+    entries.push_back({"ARCC upgraded", codecs::make("arcc-upgraded"),
+                       "4"});
+    entries.push_back({"ARCC upgraded-2",
+                       codecs::make("arcc-upgraded2"), "8"});
+    entries.push_back({"LOT-ECC 9-device", codecs::make("lot9"),
                        "checksum+XOR"});
-    entries.push_back({"LOT-ECC 18-device", schemes::lotEcc18(),
+    entries.push_back({"LOT-ECC 18-device", codecs::make("lot18"),
                        "checksum+XOR+spare"});
     for (auto &e : entries) {
         t.row({e.label, std::to_string(e.codec->devices()), e.checks,
@@ -95,7 +97,7 @@ main()
 
     printBanner("Erasure decoding (chip sparing after diagnosis)");
     {
-        auto codec = schemes::doubleChipSparing();
+        auto codec = codecs::make("dcs");
         std::vector<std::uint8_t> data(codec->dataBytes());
         for (auto &b : data)
             b = static_cast<std::uint8_t>(rng.below(256));

@@ -154,19 +154,19 @@ ArccMemory::ArccMemory(const FunctionalConfig &config)
 {
     switch (config_.scheme) {
       case SchemeKind::CommercialSccdcd:
-        relaxedCodec_ = schemes::commercialSccdcd();
+        relaxedCodec_ = codecs::make("sccdcd");
         break;
       case SchemeKind::DoubleChipSparing:
-        relaxedCodec_ = schemes::doubleChipSparing();
+        relaxedCodec_ = codecs::make("dcs");
         break;
       case SchemeKind::ArccCommercial:
-        relaxedCodec_ = schemes::arccRelaxed();
-        upgradedCodec_ = schemes::arccUpgraded();
+        relaxedCodec_ = codecs::make("arcc-relaxed");
+        upgradedCodec_ = codecs::make("arcc-upgraded");
         if (config_.allowLevel2)
-            upgraded2Codec_ = schemes::arccUpgraded2();
+            upgraded2Codec_ = codecs::make("arcc-upgraded2");
         break;
       case SchemeKind::ArccDcs:
-        relaxedCodec_ = schemes::arccRelaxed();
+        relaxedCodec_ = codecs::make("arcc-relaxed");
         upgradedCodec_ = std::make_unique<RsLineCodec>(
             36, 32, 128, 2, "ARCC+DCS upgraded RS(36,32)");
         if (config_.allowLevel2)
@@ -174,11 +174,11 @@ ArccMemory::ArccMemory(const FunctionalConfig &config)
                 72, 64, 256, 2, "ARCC+DCS upgraded-2 RS(72,64)");
         break;
       case SchemeKind::LotEcc9:
-        relaxedCodec_ = schemes::lotEcc9();
+        relaxedCodec_ = codecs::make("lot9");
         break;
       case SchemeKind::ArccLotEcc:
-        relaxedCodec_ = schemes::lotEcc9();
-        upgradedCodec_ = schemes::lotEcc18();
+        relaxedCodec_ = codecs::make("lot9");
+        upgradedCodec_ = codecs::make("lot18");
         break;
     }
 

@@ -457,23 +457,39 @@ registerBuiltins()
 {
     static const bool once = [] {
         registerCodec("sccdcd", "commercial SCCDCD RS(36,32) x2 / 64B",
-                      schemes::commercialSccdcd);
+                      [] {
+                          return std::make_unique<RsLineCodec>(
+                              36, 32, 64, 1, "SCCDCD RS(36,32)");
+                      });
         registerCodec("dcs",
-                      "double chip sparing RS(36,32) maxCorrect 2",
-                      schemes::doubleChipSparing);
+                      "double chip sparing RS(36,32) maxCorrect 2", [] {
+                          return std::make_unique<RsLineCodec>(
+                              36, 32, 64, 2, "DCS RS(36,32)+spare");
+                      });
         registerCodec("arcc-relaxed",
-                      "ARCC relaxed RS(18,16) x4 / 64B",
-                      schemes::arccRelaxed);
+                      "ARCC relaxed RS(18,16) x4 / 64B", [] {
+                          return std::make_unique<RsLineCodec>(
+                              18, 16, 64, 1, "ARCC relaxed RS(18,16)");
+                      });
         registerCodec("arcc-upgraded",
-                      "ARCC upgraded RS(36,32) x4 / 128B",
-                      schemes::arccUpgraded);
+                      "ARCC upgraded RS(36,32) x4 / 128B", [] {
+                          return std::make_unique<RsLineCodec>(
+                              36, 32, 128, 1,
+                              "ARCC upgraded RS(36,32)");
+                      });
         registerCodec("arcc-upgraded2",
-                      "ARCC 2nd-level RS(72,64) x4 / 256B",
-                      schemes::arccUpgraded2);
-        registerCodec("lot9", "LOT-ECC nine-device checksum+XOR",
-                      schemes::lotEcc9);
-        registerCodec("lot18", "LOT-ECC 18-device (Ch 5.2)",
-                      schemes::lotEcc18);
+                      "ARCC 2nd-level RS(72,64) x4 / 256B", [] {
+                          return std::make_unique<RsLineCodec>(
+                              72, 64, 256, 1,
+                              "ARCC upgraded-2 RS(72,64)");
+                      });
+        registerCodec("lot9", "LOT-ECC nine-device checksum+XOR", [] {
+            return std::make_unique<LotLineCodec>(8);
+        });
+        // Two nine-device channels in lockstep: a 128B paired line.
+        registerCodec("lot18", "LOT-ECC 18-device (Ch 5.2)", [] {
+            return std::make_unique<LotLineCodec>(16, 128);
+        });
         registerCodec("hsiao72", "Hsiao SECDED (72,64) x8 / 64B", [] {
             return std::make_unique<SecdedLineCodec>();
         });
@@ -565,62 +581,5 @@ names()
 }
 
 } // namespace codecs
-
-// ---------------------------------------------------------------------
-// Factories
-// ---------------------------------------------------------------------
-
-namespace schemes
-{
-
-std::unique_ptr<LineCodec>
-commercialSccdcd()
-{
-    return std::make_unique<RsLineCodec>(36, 32, 64, 1,
-                                         "SCCDCD RS(36,32)");
-}
-
-std::unique_ptr<LineCodec>
-doubleChipSparing()
-{
-    return std::make_unique<RsLineCodec>(36, 32, 64, 2,
-                                         "DCS RS(36,32)+spare");
-}
-
-std::unique_ptr<LineCodec>
-arccRelaxed()
-{
-    return std::make_unique<RsLineCodec>(18, 16, 64, 1,
-                                         "ARCC relaxed RS(18,16)");
-}
-
-std::unique_ptr<LineCodec>
-arccUpgraded()
-{
-    return std::make_unique<RsLineCodec>(36, 32, 128, 1,
-                                         "ARCC upgraded RS(36,32)");
-}
-
-std::unique_ptr<LineCodec>
-arccUpgraded2()
-{
-    return std::make_unique<RsLineCodec>(72, 64, 256, 1,
-                                         "ARCC upgraded-2 RS(72,64)");
-}
-
-std::unique_ptr<LineCodec>
-lotEcc9()
-{
-    return std::make_unique<LotLineCodec>(8);
-}
-
-std::unique_ptr<LineCodec>
-lotEcc18()
-{
-    // Two nine-device channels in lockstep: a 128B paired line.
-    return std::make_unique<LotLineCodec>(16, 128);
-}
-
-} // namespace schemes
 
 } // namespace arcc

@@ -379,33 +379,6 @@ std::vector<std::string> names();
 
 } // namespace codecs
 
-/** Factory helpers for the paper's schemes. */
-namespace schemes
-{
-
-/** Commercial SCCDCD: RS(36,32) x2 per 64B line, correct 1 detect 2. */
-std::unique_ptr<LineCodec> commercialSccdcd();
-
-/** Double chip sparing decode (correct up to 2 with spare support). */
-std::unique_ptr<LineCodec> doubleChipSparing();
-
-/** ARCC relaxed: RS(18,16) x4 per 64B line. */
-std::unique_ptr<LineCodec> arccRelaxed();
-
-/** ARCC upgraded: RS(36,32) x4 per 128B line. */
-std::unique_ptr<LineCodec> arccUpgraded();
-
-/** ARCC second-level upgrade (Ch 5.1): RS(72,64) x4 per 256B line. */
-std::unique_ptr<LineCodec> arccUpgraded2();
-
-/** LOT-ECC nine-device. */
-std::unique_ptr<LineCodec> lotEcc9();
-
-/** LOT-ECC 18-device (Ch 5.2). */
-std::unique_ptr<LineCodec> lotEcc18();
-
-} // namespace schemes
-
 } // namespace arcc
 
 #endif // ARCC_ARCC_ECC_SCHEME_HH

@@ -127,6 +127,22 @@ PageUpgradeOracle::name(Scenario s)
     return "?";
 }
 
+std::optional<PageUpgradeOracle::Scenario>
+PageUpgradeOracle::scenarioByName(std::string_view name)
+{
+    if (name == "none")
+        return Scenario::None;
+    if (name == "lane")
+        return Scenario::Lane;
+    if (name == "device")
+        return Scenario::Device;
+    if (name == "bank")
+        return Scenario::Bank;
+    if (name == "column")
+        return Scenario::Column;
+    return std::nullopt;
+}
+
 // ---------------------------------------------------------------------
 // simulateStreams: the co-simulation loop
 // ---------------------------------------------------------------------

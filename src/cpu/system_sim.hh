@@ -46,7 +46,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cache/llc.hh"
@@ -114,6 +116,17 @@ class PageUpgradeOracle
 
     /** @return human-readable scenario name. */
     static const char *name(Scenario s);
+
+    /**
+     * The scenario a CLI flag or service request names: one of
+     * kScenarioNames, where "none" is Scenario::None.  std::nullopt
+     * for any other name (Fraction takes a value, not a name).
+     */
+    static std::optional<Scenario> scenarioByName(std::string_view name);
+
+    /** The names scenarioByName accepts, for usage and errors. */
+    static constexpr const char *kScenarioNames =
+        "none|lane|device|bank|column";
 
   private:
     Scenario scenario_ = Scenario::None;
@@ -269,7 +282,7 @@ struct StreamSpec
 /**
  * The per-core seed spreading simulateMix applies to its run seed.
  * Capture tools that want replay-closure with a live simulateMix run
- * (tests, bench_trace_replay, examples) must derive their per-core
+ * (tests, examples/trace_sim.cpp) must derive their per-core
  * generator seeds the same way.
  */
 inline std::uint64_t

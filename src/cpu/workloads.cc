@@ -100,6 +100,15 @@ table73Mixes()
     return mixes;
 }
 
+const WorkloadMix *
+mixByName(std::string_view name)
+{
+    for (const WorkloadMix &m : table73Mixes())
+        if (m.name == name)
+            return &m;
+    return nullptr;
+}
+
 CoreWorkload::CoreWorkload(const BenchmarkProfile &profile,
                            std::uint64_t mem_bytes, int core_id,
                            std::uint64_t seed)

@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hh"
@@ -67,6 +68,10 @@ struct WorkloadMix
 
 /** The 12 mixes of Table 7.3. */
 const std::vector<WorkloadMix> &table73Mixes();
+
+/** The Table 7.3 mix a CLI flag or service request names ("Mix1" ..
+ *  "Mix12"); nullptr for any other name. */
+const WorkloadMix *mixByName(std::string_view name);
 
 /**
  * Stream generator: produces the LLC access stream of one core running

@@ -211,4 +211,18 @@ arccConfig8()
     return withChannels(arccConfig(), 8);
 }
 
+MemoryConfigPreset
+memoryConfigPreset(std::string_view name)
+{
+    if (name == "baseline")
+        return baselineConfig;
+    if (name == "arcc")
+        return arccConfig;
+    if (name == "arcc4")
+        return arccConfig4;
+    if (name == "arcc8")
+        return arccConfig8;
+    return nullptr;
+}
+
 } // namespace arcc

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace arcc
 {
@@ -160,6 +161,21 @@ MemoryConfig arccConfig4();
 /** arccConfig() widened to 8 channels (8 ChannelShardPlan groups
  *  unpairable, 4 pairable). */
 MemoryConfig arccConfig8();
+
+/** A preset's builder, e.g. &arccConfig. */
+using MemoryConfigPreset = MemoryConfig (*)();
+
+/**
+ * The preset a CLI flag or service request names: one of
+ * kMemoryConfigNames.  Returns the builder, so a caller can check a
+ * name without building the configuration; nullptr for any other
+ * name.
+ */
+MemoryConfigPreset memoryConfigPreset(std::string_view name);
+
+/** The names memoryConfigPreset accepts, for usage and errors. */
+inline constexpr const char *kMemoryConfigNames =
+    "baseline|arcc|arcc4|arcc8";
 
 } // namespace arcc
 

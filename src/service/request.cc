@@ -12,7 +12,9 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "cpu/system_sim.hh"
 #include "cpu/workloads.hh"
+#include "dram/dram_params.hh"
 
 namespace arcc
 {
@@ -38,29 +40,6 @@ kindName(ServiceRequestKind k)
       case ServiceRequestKind::Shutdown: return "shutdown";
     }
     panic("unhandled ServiceRequestKind %d", static_cast<int>(k));
-}
-
-bool
-knownConfig(const std::string &name)
-{
-    return name == "baseline" || name == "arcc" || name == "arcc4" ||
-           name == "arcc8";
-}
-
-bool
-knownFault(const std::string &name)
-{
-    return name == "none" || name == "lane" || name == "device" ||
-           name == "bank" || name == "column";
-}
-
-bool
-knownMix(const std::string &name)
-{
-    for (const WorkloadMix &m : table73Mixes())
-        if (m.name == name)
-            return true;
-    return false;
 }
 
 /** CRC-32C of a file's bytes; false when it cannot be read. */
@@ -225,18 +204,17 @@ ServiceRequest::parse(const std::string &line, ServiceRequest &out,
             !f.u64("seed", out.seed))
             return false;
 
-        if (!knownConfig(out.config)) {
-            error = "unknown config \"" + out.config +
-                    "\" (baseline|arcc|arcc4|arcc8)";
+        if (!memoryConfigPreset(out.config)) {
+            error = "unknown config \"" + out.config + "\" (" +
+                    kMemoryConfigNames + ")";
             return false;
         }
-        if (!knownFault(out.fault)) {
-            error = "unknown fault \"" + out.fault +
-                    "\" (none|lane|device|bank|column)";
+        if (!PageUpgradeOracle::scenarioByName(out.fault)) {
+            error = "unknown fault \"" + out.fault + "\" (" +
+                    PageUpgradeOracle::kScenarioNames + ")";
             return false;
         }
-        if (out.kind == ServiceRequestKind::Mix &&
-            !knownMix(out.mix)) {
+        if (out.kind == ServiceRequestKind::Mix && !mixByName(out.mix)) {
             error = "unknown mix \"" + out.mix + "\" (Mix1..Mix12)";
             return false;
         }

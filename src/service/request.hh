@@ -113,9 +113,9 @@ struct ServiceRequest
  * The deterministic mixed request set the stress tooling shares:
  * Table 7.3 mixes across configs and fault scenarios plus small
  * campaign slices.  arcc_load fires it concurrently from every
- * client, bench_service times it cold vs cached, and the determinism
- * test pins its responses across thread counts -- one set, three
- * harnesses, so the goldens all talk about the same bytes.
+ * client, and the determinism test pins its responses across thread
+ * counts and cache states -- one set, two harnesses, so the goldens
+ * all talk about the same bytes.
  *
  * @param instrs           per-core instruction budget of the sim
  *                         requests.

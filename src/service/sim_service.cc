@@ -27,48 +27,6 @@ errorBody(const std::string &message)
     return "{\"ok\":false,\"error\":" + json::quote(message) + "}";
 }
 
-const WorkloadMix &
-mixByName(const std::string &name)
-{
-    for (const WorkloadMix &m : table73Mixes())
-        if (m.name == name)
-            return m;
-    panic("validated mix \"%s\" disappeared", name.c_str());
-}
-
-MemoryConfig
-memoryConfigByName(const std::string &name)
-{
-    if (name == "baseline")
-        return baselineConfig();
-    if (name == "arcc")
-        return arccConfig();
-    if (name == "arcc4")
-        return arccConfig4();
-    if (name == "arcc8")
-        return arccConfig8();
-    panic("validated config \"%s\" disappeared", name.c_str());
-}
-
-PageUpgradeOracle
-oracleFor(const ServiceRequest &req, const MemoryConfig &mem)
-{
-    using S = PageUpgradeOracle::Scenario;
-    if (req.fraction >= 0.0)
-        return PageUpgradeOracle::forFraction(req.fraction, mem);
-    if (req.fault == "none")
-        return PageUpgradeOracle{};
-    if (req.fault == "lane")
-        return PageUpgradeOracle::forScenario(S::Lane, mem);
-    if (req.fault == "device")
-        return PageUpgradeOracle::forScenario(S::Device, mem);
-    if (req.fault == "bank")
-        return PageUpgradeOracle::forScenario(S::Bank, mem);
-    if (req.fault == "column")
-        return PageUpgradeOracle::forScenario(S::Column, mem);
-    panic("validated fault \"%s\" disappeared", req.fault.c_str());
-}
-
 /** The deterministic sim-result payload: counters and model outputs
  *  only, never timing or thread counts. */
 std::string
@@ -342,16 +300,26 @@ SimService::computeBody(const ServiceRequest &req) const
         return body;
     }
 
+    // ServiceRequest::parse accepted only names these lookups resolve.
+    const MemoryConfigPreset preset = memoryConfigPreset(req.config);
+    const std::optional<PageUpgradeOracle::Scenario> scenario =
+        PageUpgradeOracle::scenarioByName(req.fault);
+    ARCC_ASSERT(preset && scenario);
     SystemConfig cfg;
-    cfg.mem = memoryConfigByName(req.config);
+    cfg.mem = preset();
     cfg.instrsPerCore = req.instrs;
     cfg.sectoredLlc = req.sectored;
     cfg.seed = req.seed;
-    const PageUpgradeOracle oracle = oracleFor(req, cfg.mem);
+    const PageUpgradeOracle oracle =
+        req.fraction >= 0.0
+            ? PageUpgradeOracle::forFraction(req.fraction, cfg.mem)
+            : PageUpgradeOracle::forScenario(*scenario, cfg.mem);
 
     SimResult res;
     if (req.kind == ServiceRequestKind::Mix) {
-        res = simulateMix(mixByName(req.mix), cfg, oracle);
+        const WorkloadMix *mix = mixByName(req.mix);
+        ARCC_ASSERT(mix);
+        res = simulateMix(*mix, cfg, oracle);
         body += "mix";
     } else {
         std::vector<StreamSpec> streams;

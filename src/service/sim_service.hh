@@ -5,8 +5,7 @@
  * One SimService owns the response cache, the singleflight table, and
  * a small pool of evaluation workers in front of a shared SimEngine.
  * The socket server (service/server.hh) is a thin framing layer over
- * `submit`; tests and bench_service call `evaluate` directly -- same
- * path, no sockets.
+ * `submit`; tests call `evaluate` directly -- same path, no sockets.
  *
  * ## Fair queueing
  *

@@ -63,19 +63,11 @@ struct CodecCase
 std::unique_ptr<LineCodec>
 makeCodec(const std::string &which)
 {
-    if (which == "sccdcd")
-        return schemes::commercialSccdcd();
-    if (which == "dcs")
-        return schemes::doubleChipSparing();
-    if (which == "relaxed")
-        return schemes::arccRelaxed();
-    if (which == "upgraded")
-        return schemes::arccUpgraded();
-    if (which == "upgraded2")
-        return schemes::arccUpgraded2();
-    if (which == "lot9")
-        return schemes::lotEcc9();
-    return schemes::lotEcc18();
+    // Case names drop the "arcc-" of the ARCC modes' registry keys.
+    if (which == "relaxed" || which == "upgraded" ||
+        which == "upgraded2")
+        return codecs::make("arcc-" + which);
+    return codecs::make(which);
 }
 
 class CodecSweep : public ::testing::TestWithParam<CodecCase>
@@ -174,8 +166,8 @@ TEST(CodecGeometry, StorageOverheadMatchesThePaper)
 {
     // Relaxed and upgraded store the same 12.5% overhead -- the whole
     // point of the codeword-combining trick (contribution #2).
-    auto relaxed = schemes::arccRelaxed();
-    auto upgraded = schemes::arccUpgraded();
+    auto relaxed = codecs::make("arcc-relaxed");
+    auto upgraded = codecs::make("arcc-upgraded");
     auto stored = [](const LineCodec &c) {
         return c.devices() * c.sliceBytes();
     };
@@ -195,8 +187,8 @@ TEST(CodecGeometry, UpgradedSliceFootprintEqualsRelaxed)
 {
     // A page upgrade must not move storage: each device keeps 4 bytes
     // per 64B line slot in both modes.
-    auto relaxed = schemes::arccRelaxed();
-    auto upgraded = schemes::arccUpgraded();
+    auto relaxed = codecs::make("arcc-relaxed");
+    auto upgraded = codecs::make("arcc-upgraded");
     EXPECT_EQ(relaxed->sliceBytes(), upgraded->sliceBytes());
     EXPECT_EQ(upgraded->devices(), 2 * relaxed->devices());
 }

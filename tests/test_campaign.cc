@@ -207,6 +207,8 @@ TEST(Campaign, ResumeFromCompleteLogIsANoOp)
     CampaignRunOptions options;
     options.checkpointPath = ckpt.path;
     const std::uint64_t golden = driver.run(options).digest(spec);
+    // Checkpointing a whole run leaves its digest unchanged.
+    EXPECT_EQ(golden, driver.run().digest(spec));
 
     CampaignRunResult again = driver.run(options);
     EXPECT_EQ(again.epochsRun, 0u);

@@ -38,6 +38,16 @@ TEST(DramParams, Table71Configurations)
     EXPECT_EQ(base.totalDevices(), ar.totalDevices());
     EXPECT_EQ(base.dataBusBits(), 128);
     EXPECT_EQ(ar.dataBusBits(), 128);
+
+    // The names the CLI and the service accept resolve to the presets;
+    // any other name is refused.
+    EXPECT_STREQ(kMemoryConfigNames, "baseline|arcc|arcc4|arcc8");
+    EXPECT_EQ(memoryConfigPreset("baseline"), &baselineConfig);
+    EXPECT_EQ(memoryConfigPreset("arcc"), &arccConfig);
+    EXPECT_EQ(memoryConfigPreset("arcc4"), &arccConfig4);
+    EXPECT_EQ(memoryConfigPreset("arcc8"), &arccConfig8);
+    for (const char *bad : {"", "ARCC", "arcc2", "arcc ", "lot9"})
+        EXPECT_EQ(memoryConfigPreset(bad), nullptr) << bad;
 }
 
 TEST(DramParams, StorageOverheadIs12Point5Percent)

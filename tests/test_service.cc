@@ -88,8 +88,12 @@ TEST(ServiceRequest, RejectsWithoutFatal)
         "{\"kind\":\"mix\",\"typo_key\":1}",
         "{\"kind\":\"warp\"}",
         "{\"kind\":\"mix\",\"config\":\"chipkill\"}",
+        "{\"kind\":\"mix\",\"config\":\"ARCC\"}",
+        "{\"kind\":\"mix\",\"config\":\"lot9\"}",
         "{\"kind\":\"mix\",\"mix\":\"Mix99\"}",
+        "{\"kind\":\"mix\",\"mix\":\"mix1\"}",
         "{\"kind\":\"mix\",\"fault\":\"gamma-ray\"}",
+        "{\"kind\":\"mix\",\"fault\":\"fraction\"}",
         "{\"kind\":\"mix\",\"fraction\":1.5}",
         "{\"kind\":\"mix\",\"fraction\":0.5,\"fault\":\"device\"}",
         "{\"kind\":\"mix\",\"instrs\":0}",
@@ -141,6 +145,11 @@ TEST(ServiceRequest, CanonicalRoundTrips)
         "{\"kind\":\"mix\",\"config\":\"baseline\",\"mix\":\"Mix7\","
         "\"fault\":\"bank\",\"instrs\":12345,\"sectored\":true}",
         "{\"kind\":\"mix\",\"fraction\":0.25}",
+        "{\"kind\":\"mix\",\"config\":\"arcc\",\"fault\":\"none\"}",
+        "{\"kind\":\"mix\",\"config\":\"arcc4\",\"fault\":\"lane\"}",
+        "{\"kind\":\"mix\",\"config\":\"arcc8\",\"mix\":\"Mix12\","
+        "\"fault\":\"device\"}",
+        "{\"kind\":\"mix\",\"fault\":\"column\"}",
         "{\"kind\":\"campaign\",\"channels\":64,\"seed\":9,"
         "\"epoch_trials\":32,\"shard_trials\":16}",
         "{\"kind\":\"stats\"}",

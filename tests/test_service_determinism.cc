@@ -9,9 +9,8 @@
  * count; this suite checks the service stack *preserves* that promise
  * end to end (no timestamps, no thread counts, no cached-flags leaking
  * into bodies), using the same standardServiceRequests() set that
- * arcc_load and bench_service drive.  CI runs the "determinism" ctest
- * label under ARCC_THREADS=1 and 4 on top of the 1/2/7-thread engines
- * built here.
+ * arcc_load drives.  CI runs the "determinism" ctest label under
+ * ARCC_THREADS=1 and 4 on top of the 1/2/7-thread engines built here.
  */
 
 #include <gtest/gtest.h>

@@ -39,6 +39,18 @@ TEST(PageUpgradeOracle, ScenarioFractionsMatchTable74)
     EXPECT_DOUBLE_EQ(PageUpgradeOracle::forScenario(S::Column, cfg)
                          .expectedFraction(),
                      1.0 / 32);
+
+    // The names the CLI and the service accept resolve to the
+    // scenarios; any other name is refused.
+    EXPECT_STREQ(PageUpgradeOracle::kScenarioNames,
+                 "none|lane|device|bank|column");
+    EXPECT_EQ(PageUpgradeOracle::scenarioByName("none"), S::None);
+    EXPECT_EQ(PageUpgradeOracle::scenarioByName("lane"), S::Lane);
+    EXPECT_EQ(PageUpgradeOracle::scenarioByName("device"), S::Device);
+    EXPECT_EQ(PageUpgradeOracle::scenarioByName("bank"), S::Bank);
+    EXPECT_EQ(PageUpgradeOracle::scenarioByName("column"), S::Column);
+    for (const char *bad : {"", "Lane", "subbank", "fraction", "row"})
+        EXPECT_FALSE(PageUpgradeOracle::scenarioByName(bad)) << bad;
 }
 
 TEST(PageUpgradeOracle, DecisionsArePageGranular)

@@ -20,6 +20,7 @@ TEST(Workloads, AllTwelveMixesExistWithFourBenchmarksEach)
     const auto &mixes = table73Mixes();
     ASSERT_EQ(mixes.size(), 12u);
     for (const auto &mix : mixes) {
+        EXPECT_EQ(mixByName(mix.name), &mix);
         EXPECT_EQ(mix.benchmarks.size(), 4u) << mix.name;
         for (const auto &b : mix.benchmarks) {
             // Must resolve without fatal().
@@ -27,6 +28,8 @@ TEST(Workloads, AllTwelveMixesExistWithFourBenchmarksEach)
             EXPECT_FALSE(p.name.empty());
         }
     }
+    for (const char *bad : {"", "Mix0", "Mix13", "mix1", "Mix1 "})
+        EXPECT_EQ(mixByName(bad), nullptr) << bad;
 }
 
 TEST(Workloads, Fma3diAliasesToFma3d)
