@@ -29,9 +29,10 @@ main()
 
     PerTypeOverhead measured = bench::toPerTypeOverhead(ov.perf);
     DomainGeometry geom = bench::defaultGeometry();
-    // Worst case: an upgraded access takes two bus slots -> the
-    // degradation contribution of a fault type is f/(1+f) ~ f/2 terms;
-    // we use the conservative linear form f (additive, capped at 1/2).
+    // Worst case: an upgraded access takes two bus slots, so a fault
+    // type that upgrades a fraction f of the pages costs f/(1+f) of
+    // the throughput.  Fault types add, and cumulativeOverheadByYear
+    // caps the sum at 1/2 (every access upgraded).
     PerTypeOverhead worst{};
     for (FaultType t : allFaultTypes()) {
         double f = geom.pageFraction(t);

@@ -8,6 +8,7 @@
  */
 
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,19 +36,30 @@ outcome(const DecodeResult &res, bool data_ok)
     return "?";
 }
 
+/** Device d's slice of an encoded line. */
+std::span<std::uint8_t>
+slice(DeviceSlices &slices, const LineCodec &codec, int d)
+{
+    return std::span<std::uint8_t>(slices).subspan(
+        static_cast<std::size_t>(d) * codec.sliceBytes(),
+        codec.sliceBytes());
+}
+
 /** Kill `kills` whole devices and decode; report what happened. */
 std::string
-tryKills(const LineCodec &codec, int kills, Rng &rng)
+tryKills(const LineCodec &codec, int kills, Rng &rng, LineWorkspace &ws)
 {
     std::vector<std::uint8_t> data(codec.dataBytes());
     for (auto &b : data)
         b = static_cast<std::uint8_t>(rng.below(256));
-    DeviceSlices slices = codec.encode(data);
+    DeviceSlices slices;
+    codec.encodeInto(data, slices, ws);
     for (int v = 0; v < kills; ++v)
-        for (auto &b : slices[(v * 7 + 1) % codec.devices()])
+        for (auto &b : slice(slices, codec, (v * 7 + 1) % codec.devices()))
             b ^= static_cast<std::uint8_t>(rng.range(1, 255));
     std::vector<std::uint8_t> out(codec.dataBytes());
-    DecodeResult res = codec.decode(slices, out);
+    DecodeResult res;
+    codec.decodeInto(slices, out, {}, ws, res);
     return outcome(res, out == data);
 }
 
@@ -57,6 +69,7 @@ int
 main()
 {
     Rng rng(2013);
+    LineWorkspace ws;
 
     printBanner("Chipkill schemes vs whole-device failures");
     TextTable t;
@@ -85,8 +98,9 @@ main()
                        "checksum+XOR+spare"});
     for (auto &e : entries) {
         t.row({e.label, std::to_string(e.codec->devices()), e.checks,
-               tryKills(*e.codec, 0, rng), tryKills(*e.codec, 1, rng),
-               tryKills(*e.codec, 2, rng)});
+               tryKills(*e.codec, 0, rng, ws),
+               tryKills(*e.codec, 1, rng, ws),
+               tryKills(*e.codec, 2, rng, ws)});
     }
     t.print();
     std::printf("\nNote the table's story: every chipkill scheme "
@@ -101,16 +115,18 @@ main()
         std::vector<std::uint8_t> data(codec->dataBytes());
         for (auto &b : data)
             b = static_cast<std::uint8_t>(rng.below(256));
-        DeviceSlices slices = codec->encode(data);
+        DeviceSlices slices;
+        codec->encodeInto(data, slices, ws);
         // Device 9 was diagnosed bad and remapped: decode treats it as
         // an erasure, leaving headroom to correct a *new* error too.
-        for (auto &b : slices[9])
+        for (auto &b : slice(slices, *codec, 9))
             b = 0x00;
-        for (auto &b : slices[20])
+        for (auto &b : slice(slices, *codec, 20))
             b ^= 0x41;
         std::vector<std::uint8_t> out(codec->dataBytes());
         std::vector<int> erased = {9};
-        DecodeResult res = codec->decode(slices, out, erased);
+        DecodeResult res;
+        codec->decodeInto(slices, out, erased, ws, res);
         std::printf("erased device 9 + fresh error in device 20: %s\n",
                     outcome(res, out == data));
     }

@@ -218,10 +218,11 @@ ArccMemory::ArccMemory(const FunctionalConfig &config)
     PageMode mode = bootMode(config_.scheme);
     const LineCodec &codec = codecFor(mode);
     std::vector<std::uint8_t> zeros(codec.dataBytes(), 0);
-    DeviceSlices slices = codec.encode(zeros);
+    LineWorkspace &ws = MemoryWorkspace::forThisThread().line;
+    codec.encodeInto(zeros, ws.slices, ws);
     for (std::uint64_t base = 0; base < capacity();
          base += codec.dataBytes())
-        storeGroup(base, mode, slices);
+        storeGroup(base, mode, ws.slices);
 }
 
 ArccMemory::Loc
@@ -361,34 +362,37 @@ ArccMemory::applyOverlay(std::span<std::uint8_t> bytes,
 
 void
 ArccMemory::gatherGroupInto(std::uint64_t group_base, PageMode mode,
-                            DeviceSlices &out)
+                            DeviceSlices &out, bool overlay) const
 {
     const LineCodec &codec = codecFor(mode);
-    const int slice = codec.sliceBytes();
-    out.resize(codec.devices());
+    const std::size_t slice = codec.sliceBytes();
+    out.resize(codec.devices() * slice);
     forEachSubLine(group_base, codec, [&](const SubLine &sl) {
         const std::uint8_t *p = storage_.data() + sl.offset;
+        std::uint8_t *rows = out.data() + sl.first * slice;
         for (int d = 0; d < sl.devices; ++d, p += deviceStride_)
-            out[sl.first + d].assign(p, p + slice);
+            std::memcpy(rows + d * slice, p, slice);
+        if (!overlay)
+            return;
         // Faults in list order, as if each device applied its own.
         for (const FunctionalFault &f : faults_)
             if (f.device < sl.devices && covers(f, sl.loc))
-                applyOverlay(out[sl.first + f.device], f, sl.loc);
+                applyOverlay({rows + f.device * slice, slice}, f, sl.loc);
     });
 }
 
 void
 ArccMemory::storeGroup(std::uint64_t group_base, PageMode mode,
-                       const DeviceSlices &slices)
+                       std::span<const std::uint8_t> line)
 {
     const LineCodec &codec = codecFor(mode);
-    const int slice = codec.sliceBytes();
-    ARCC_ASSERT(slices.size() ==
-                static_cast<std::size_t>(codec.devices()));
+    const std::size_t slice = codec.sliceBytes();
+    ARCC_ASSERT(line.size() == codec.devices() * slice);
     forEachSubLine(group_base, codec, [&](const SubLine &sl) {
         std::uint8_t *p = storage_.data() + sl.offset;
+        const std::uint8_t *rows = line.data() + sl.first * slice;
         for (int d = 0; d < sl.devices; ++d, p += deviceStride_)
-            std::memcpy(p, slices[sl.first + d].data(), slice);
+            std::memcpy(p, rows + d * slice, slice);
     });
 }
 
@@ -431,7 +435,7 @@ ArccMemory::readGroupInto(std::uint64_t group_base, PageMode mode,
                           MemoryStats &stats, LineWorkspace &ws,
                           ReadResult &out)
 {
-    gatherGroupInto(group_base, mode, ws.slices);
+    gatherGroupInto(group_base, mode, ws.slices, /*overlay=*/true);
     erasedInto(group_base, mode, ws.erased);
     decodeSlicesInto(ws.slices, mode, ws.erased, stats, ws, out);
 }
@@ -442,7 +446,7 @@ ArccMemory::readGroup(std::uint64_t group_base, PageMode mode,
 {
     ReadResult res;
     readGroupInto(group_base, mode, stats,
-                  LineWorkspace::forThisThread(), res);
+                  MemoryWorkspace::forThisThread().line, res);
     return res;
 }
 
@@ -462,15 +466,8 @@ ArccMemory::read(std::uint64_t addr)
 std::vector<ReadResult>
 ArccMemory::accessBatch(std::span<const std::uint64_t> addrs)
 {
-    return accessBatch(addrs, stats_);
-}
-
-std::vector<ReadResult>
-ArccMemory::accessBatch(std::span<const std::uint64_t> addrs,
-                        MemoryStats &stats)
-{
     std::vector<ReadResult> results;
-    accessBatch(addrs, stats, MemoryWorkspace::forThisThread(), results);
+    accessBatch(addrs, stats_, MemoryWorkspace::forThisThread(), results);
     return results;
 }
 
@@ -509,7 +506,7 @@ ArccMemory::accessBatch(std::span<const std::uint64_t> addrs,
                 ws.groupSlices.emplace_back();
                 ws.groupWhole.emplace_back();
             }
-            gatherGroupInto(base, mode, ws.groupSlices[gi]);
+            gatherGroupInto(base, mode, ws.groupSlices[gi], /*overlay=*/true);
             erasedInto(base, mode, ws.line.erased);
             const bool slow = codecFor(mode).soaCodec() == nullptr ||
                               !ws.line.erased.empty();
@@ -579,7 +576,7 @@ ArccMemory::screenStagedGroups(MemoryStats &stats, MemoryWorkspace &ws)
                 std::memcpy(&rws.soa[static_cast<std::size_t>(d) *
                                          kLanes +
                                      lanes],
-                            sl[d].data(), cw);
+                            sl.data() + d * cw, cw);
             lanes += cw;
             ++h;
         }
@@ -611,7 +608,7 @@ ArccMemory::screenStagedGroups(MemoryStats &stats, MemoryWorkspace &ws)
             const int k = rs.k();
             for (int c = 0; c < cw; ++c)
                 for (int s = 0; s < k; ++s)
-                    out.data[c * k + s] = sl[s][c];
+                    out.data[c * k + s] = sl[s * cw + c];
             stats.deviceReads += dev;
         }
         g = h;
@@ -643,15 +640,7 @@ void
 ArccMemory::writeGroup(std::uint64_t addr,
                        std::span<const std::uint8_t> data)
 {
-    writeGroup(addr, data, stats_);
-}
-
-void
-ArccMemory::writeGroup(std::uint64_t addr,
-                       std::span<const std::uint8_t> data,
-                       MemoryStats &stats)
-{
-    writeGroup(addr, data, stats, MemoryWorkspace::forThisThread());
+    writeGroup(addr, data, stats_, MemoryWorkspace::forThisThread());
 }
 
 void
@@ -747,7 +736,7 @@ ArccMemory::rawFill(std::uint64_t addr, std::uint8_t value)
 bool
 ArccMemory::rawCheck(std::uint64_t addr, std::uint8_t value)
 {
-    return rawCheck(addr, value, LineWorkspace::forThisThread());
+    return rawCheck(addr, value, MemoryWorkspace::forThisThread().line);
 }
 
 bool
@@ -756,12 +745,9 @@ ArccMemory::rawCheck(std::uint64_t addr, std::uint8_t value,
 {
     PageMode mode = pageTable_.mode(pageOf(addr));
     std::uint64_t base = addr & ~(groupBytes(mode) - 1);
-    gatherGroupInto(base, mode, ws.slices);
-    for (const auto &s : ws.slices)
-        for (std::uint8_t b : s)
-            if (b != value)
-                return false;
-    return true;
+    gatherGroupInto(base, mode, ws.slices, /*overlay=*/true);
+    return std::all_of(ws.slices.begin(), ws.slices.end(),
+                       [value](std::uint8_t b) { return b == value; });
 }
 
 std::vector<std::uint8_t>
@@ -777,15 +763,8 @@ ArccMemory::rawSnapshotInto(std::uint64_t addr,
                             std::vector<std::uint8_t> &out)
 {
     PageMode mode = pageTable_.mode(pageOf(addr));
-    const LineCodec &codec = codecFor(mode);
-    std::uint64_t base = addr & ~(groupBytes(mode) - 1);
-    const int slice = codec.sliceBytes();
-    out.resize(static_cast<std::size_t>(codec.devices()) * slice);
-    forEachSubLine(base, codec, [&](const SubLine &sl) {
-        const std::uint8_t *p = storage_.data() + sl.offset;
-        for (int d = 0; d < sl.devices; ++d, p += deviceStride_)
-            std::memcpy(out.data() + (sl.first + d) * slice, p, slice);
-    });
+    gatherGroupInto(addr & ~(groupBytes(mode) - 1), mode, out,
+                    /*overlay=*/false);
 }
 
 void
@@ -793,16 +772,7 @@ ArccMemory::rawRestore(std::uint64_t addr,
                        std::span<const std::uint8_t> snapshot)
 {
     PageMode mode = pageTable_.mode(pageOf(addr));
-    const LineCodec &codec = codecFor(mode);
-    std::uint64_t base = addr & ~(groupBytes(mode) - 1);
-    const int slice = codec.sliceBytes();
-    ARCC_ASSERT(snapshot.size() ==
-                static_cast<std::size_t>(codec.devices()) * slice);
-    forEachSubLine(base, codec, [&](const SubLine &sl) {
-        std::uint8_t *p = storage_.data() + sl.offset;
-        for (int d = 0; d < sl.devices; ++d, p += deviceStride_)
-            std::memcpy(p, snapshot.data() + (sl.first + d) * slice, slice);
-    });
+    storeGroup(addr & ~(groupBytes(mode) - 1), mode, snapshot);
 }
 
 void

@@ -5,7 +5,8 @@
  * test-pattern scrubber.
  *
  * This is the data plane of the reproduction (DESIGN.md section 7):
- * real bytes are encoded into per-device symbol slices on write,
+ * real bytes are encoded into per-device symbol slices on write (one
+ * flat device-major DeviceSlices buffer per group),
  * device-level faults corrupt the slices on read, and reads decode and
  * correct through the scheme codecs of ecc_scheme.hh.  Page modes come
  * from the PageTable; upgrading a page re-reads every line under the
@@ -142,8 +143,9 @@ struct MemoryWorkspace
 
     /**
      * The calling thread's default workspace, behind the ArccMemory
-     * entry points that take none (write, setPageMode, the owning
-     * accessBatch and writeGroup overloads).
+     * entry points that take none (the constructor, write, read,
+     * readWholeGroup, setPageMode, rawCheck and the owning accessBatch
+     * and writeGroup overloads).
      */
     static MemoryWorkspace &forThisThread();
 
@@ -165,7 +167,8 @@ struct MemoryWorkspace
         bool slow;
     };
     std::vector<StagedGroup> groups;
-    /** Gathered slices per staged group (ring of reused buffers). */
+    /** Gathered line per staged group: a ring of flat buffers whose
+     *  capacity survives switches between group widths. */
     std::vector<DeviceSlices> groupSlices;
     /** Decoded whole-group results, parallel to `groups`. */
     std::vector<ReadResult> groupWhole;
@@ -258,29 +261,20 @@ class ArccMemory
     // is not touched.  Fold the deltas back in with addStats() on the
     // calling thread, in shard order, when the sweep completes.
 
-    /** accessBatch with an explicit stats sink. */
-    std::vector<ReadResult>
-    accessBatch(std::span<const std::uint64_t> addrs,
-                MemoryStats &stats);
-
     /**
      * The fully allocation-free batch read: scratch comes from `ws`
      * and results land in `results`, whose per-line buffers are
-     * reused across calls.  A steady-state sweep (same batch shape
-     * page after page, e.g. the scrubber's) allocates nothing after
-     * its first batch.  Results and stats accounting are identical to
-     * the owning overloads'.
+     * reused across calls.  A steady-state sweep (e.g. the
+     * scrubber's, over pages of either mode) allocates nothing after
+     * its first batch of each mode.  Results and stats accounting are
+     * identical to the owning overload's.
      */
     void accessBatch(std::span<const std::uint64_t> addrs,
                      MemoryStats &stats, MemoryWorkspace &ws,
                      std::vector<ReadResult> &results);
 
-    /** writeGroup with an explicit stats sink. */
-    void writeGroup(std::uint64_t addr,
-                    std::span<const std::uint8_t> data,
-                    MemoryStats &stats);
-
-    /** writeGroup encoding through a caller-owned workspace. */
+    /** writeGroup with an explicit stats sink, encoding through a
+     *  caller-owned workspace. */
     void writeGroup(std::uint64_t addr,
                     std::span<const std::uint8_t> data,
                     MemoryStats &stats, MemoryWorkspace &ws);
@@ -318,12 +312,14 @@ class ArccMemory
     /** rawCheck gathering through a caller-owned workspace. */
     bool rawCheck(std::uint64_t addr, std::uint8_t value,
                   LineWorkspace &ws);
-    /** Snapshot the raw slices of the line's group. */
+    /** Snapshot the raw slices of the line's group: the stored line
+     *  without fault overlays, in DeviceSlices layout. */
     std::vector<std::uint8_t> rawSnapshot(std::uint64_t addr);
     /** rawSnapshot into an existing buffer, reusing its storage. */
     void rawSnapshotInto(std::uint64_t addr,
                          std::vector<std::uint8_t> &out);
-    /** Restore a snapshot taken by rawSnapshot. */
+    /** Restore a snapshot taken by rawSnapshot (a plain store: the
+     *  snapshot is already a DeviceSlices buffer). */
     void rawRestore(std::uint64_t addr,
                     std::span<const std::uint8_t> snapshot);
 
@@ -376,13 +372,15 @@ class ArccMemory
     /** Number of 64B sub-lines per group in a mode. */
     int subLines(PageMode mode) const;
 
-    /** Gather (overlay-applied) slices for the group at group_base,
-     *  reusing the storage of `out`. */
+    /** Copy the stored line of the group at group_base into `out`,
+     *  reusing its storage; with `overlay`, apply the fault overlays
+     *  as the devices would on a read. */
     void gatherGroupInto(std::uint64_t group_base, PageMode mode,
-                         DeviceSlices &out);
-    /** Store encoded slices for the group at group_base. */
+                         DeviceSlices &out, bool overlay) const;
+    /** Store an encoded line (DeviceSlices layout) for the group at
+     *  group_base. */
     void storeGroup(std::uint64_t group_base, PageMode mode,
-                    const DeviceSlices &slices);
+                    std::span<const std::uint8_t> line);
     /** Erased-device indices in codec ordering for a group. */
     void erasedInto(std::uint64_t group_base, PageMode mode,
                     std::vector<int> &out) const;

@@ -2,11 +2,8 @@
  * @file
  * Line codec implementations.
  *
- * All codecs implement the allocation-free encodeInto / decodeInto
- * pair; the owning encode / decode entry points are convenience
- * wrappers over them (decode borrows the calling thread's
- * LineWorkspace, so even legacy callers stop paying per-call heap
- * traffic after warm-up).
+ * Every codec reads and writes the flat device-major line buffer in
+ * place.
  */
 
 #include "arcc/ecc_scheme.hh"
@@ -21,31 +18,6 @@
 
 namespace arcc
 {
-
-LineWorkspace &
-LineWorkspace::forThisThread()
-{
-    static thread_local LineWorkspace ws;
-    return ws;
-}
-
-DeviceSlices
-LineCodec::encode(std::span<const std::uint8_t> data) const
-{
-    DeviceSlices out;
-    encodeInto(data, out, LineWorkspace::forThisThread());
-    return out;
-}
-
-DecodeResult
-LineCodec::decode(DeviceSlices &slices, std::span<std::uint8_t> data,
-                  std::span<const int> erased) const
-{
-    DecodeResult out;
-    decodeInto(slices, data, erased, LineWorkspace::forThisThread(),
-               out);
-    return out;
-}
 
 // ---------------------------------------------------------------------
 // RsLineCodec
@@ -86,9 +58,7 @@ RsLineCodec::encodeInto(std::span<const std::uint8_t> data,
     ARCC_ASSERT(data.size() == static_cast<std::size_t>(dataBytes_));
     const int n = rs_.n();
     const int k = rs_.k();
-    out.resize(n);
-    for (int d = 0; d < n; ++d)
-        out[d].resize(codewords_);
+    out.resize(static_cast<std::size_t>(n) * codewords_);
 
     const std::span<std::uint8_t> word(ws.rs.word.data(),
                                        static_cast<std::size_t>(n));
@@ -97,7 +67,7 @@ RsLineCodec::encodeInto(std::span<const std::uint8_t> data,
             word[s] = data[c * k + s];
         rs_.encode(word);
         for (int d = 0; d < n; ++d)
-            out[d][c] = word[d];
+            out[d * codewords_ + c] = word[d];
     }
 }
 
@@ -107,7 +77,8 @@ RsLineCodec::decodeInto(DeviceSlices &slices,
                         std::span<const int> erased, LineWorkspace &ws,
                         DecodeResult &out) const
 {
-    ARCC_ASSERT(slices.size() == static_cast<std::size_t>(rs_.n()));
+    ARCC_ASSERT(slices.size() ==
+                static_cast<std::size_t>(rs_.n()) * codewords_);
     ARCC_ASSERT(data.size() == static_cast<std::size_t>(dataBytes_));
     const int n = rs_.n();
     const int k = rs_.k();
@@ -122,7 +93,7 @@ RsLineCodec::decodeInto(DeviceSlices &slices,
                                        static_cast<std::size_t>(n));
     for (int c = 0; c < codewords_; ++c) {
         for (int d = 0; d < n; ++d)
-            word[d] = slices[d][c];
+            word[d] = slices[d * codewords_ + c];
         const RsDecodeView res =
             rs_.decode(word, ws.rs, maxCorrect_, erased);
         if (res.status == DecodeStatus::Detected) {
@@ -135,7 +106,7 @@ RsLineCodec::decodeInto(DeviceSlices &slices,
             out.symbolsCorrected += res.symbolsCorrected;
             for (int p : res.positions) {
                 out.positions.push_back(p);
-                slices[p][c] = word[p]; // write the fix back.
+                slices[p * codewords_ + c] = word[p]; // write back.
             }
         }
         for (int s = 0; s < k; ++s)
@@ -171,24 +142,9 @@ LotLineCodec::encodeInto(std::span<const std::uint8_t> data,
                          DeviceSlices &out, LineWorkspace &ws) const
 {
     ARCC_ASSERT(data.size() == static_cast<std::size_t>(dataBytes_));
-
-    // LotEcc owns the layout (striping, parity, checksums); this
-    // codec only serialises it into the per-device wire format of
-    // slice + embedded big-endian checksum.
-    LotLine &line = ws.lot;
-    lot_.encodeInto(data, line);
-
-    const int dev = devices();
-    const int sb = lot_.sliceBytes();
-    out.resize(dev);
-    for (int d = 0; d < dev; ++d) {
-        out[d].resize(sb + 2);
-        std::copy(line.slices[d].begin(), line.slices[d].end(),
-                  out[d].begin());
-        out[d][sb] = static_cast<std::uint8_t>(line.checksums[d] >> 8);
-        out[d][sb + 1] =
-            static_cast<std::uint8_t>(line.checksums[d] & 0xff);
-    }
+    (void)ws; // LotEcc needs no scratch.
+    out.resize(static_cast<std::size_t>(devices()) * sliceBytes());
+    lot_.encodeInto(data, out);
 }
 
 void
@@ -197,31 +153,12 @@ LotLineCodec::decodeInto(DeviceSlices &slices,
                          std::span<const int> erased, LineWorkspace &ws,
                          DecodeResult &out) const
 {
-    ARCC_ASSERT(slices.size() == static_cast<std::size_t>(devices()));
-
+    (void)ws;
     out.status = DecodeStatus::Clean;
     out.symbolsCorrected = 0;
     out.positions.clear();
 
-    LotLine &line = ws.lot;
-    line.slices.resize(devices());
-    line.checksums.resize(devices());
-    for (int d = 0; d < devices(); ++d) {
-        ARCC_ASSERT(slices[d].size() ==
-                    static_cast<std::size_t>(sliceBytes()));
-        line.slices[d].assign(slices[d].begin(), slices[d].end() - 2);
-        line.checksums[d] = static_cast<std::uint16_t>(
-            (slices[d][slices[d].size() - 2] << 8) |
-            slices[d][slices[d].size() - 1]);
-    }
-    // A device flagged as erased (remapped to the spare by the memory
-    // model) is treated as a forced checksum mismatch so the XOR tier
-    // reconstructs it.
-    for (int d : erased)
-        line.checksums[d] = static_cast<std::uint16_t>(
-            ~OnesComplement16::compute(line.slices[d]));
-
-    LotDecodeResult lres = lot_.decode(line);
+    const LotDecodeResult lres = lot_.decode(slices, erased);
     if (lres.status == DecodeStatus::Detected) {
         out.status = DecodeStatus::Detected;
         return;
@@ -230,18 +167,8 @@ LotLineCodec::decodeInto(DeviceSlices &slices,
         out.status = DecodeStatus::Corrected;
         out.symbolsCorrected = 1;
         out.positions.push_back(lres.deviceCorrected);
-        int d = lres.deviceCorrected;
-        for (std::size_t i = 0; i < line.slices[d].size(); ++i)
-            slices[d][i] = line.slices[d][i];
-        slices[d][slices[d].size() - 2] =
-            static_cast<std::uint8_t>(line.checksums[d] >> 8);
-        slices[d][slices[d].size() - 1] =
-            static_cast<std::uint8_t>(line.checksums[d] & 0xff);
     }
-    ARCC_ASSERT(data.size() ==
-                static_cast<std::size_t>(lot_.dataDevices()) *
-                    lot_.sliceBytes());
-    lot_.extractInto(line, data);
+    lot_.extractInto(slices, data);
 }
 
 // ---------------------------------------------------------------------
@@ -267,18 +194,15 @@ SecdedLineCodec::encodeInto(std::span<const std::uint8_t> data,
     ARCC_ASSERT(data.size() == static_cast<std::size_t>(dataBytes()));
     (void)ws; // No scratch needed: words assemble in registers.
 
-    out.resize(9);
-    for (int d = 0; d < 9; ++d)
-        out[d].resize(kWords);
-
+    out.resize(9 * kWords);
     for (int w = 0; w < kWords; ++w) {
         std::uint64_t word = 0;
         for (int d = 0; d < 8; ++d) {
-            out[d][w] = data[w * 8 + d];
+            out[d * kWords + w] = data[w * 8 + d];
             word |= static_cast<std::uint64_t>(data[w * 8 + d])
                     << (8 * d);
         }
-        out[8][w] = Secded::encode(word);
+        out[8 * kWords + w] = Secded::encode(word);
     }
 }
 
@@ -288,7 +212,7 @@ SecdedLineCodec::decodeInto(DeviceSlices &slices,
                             std::span<const int> erased,
                             LineWorkspace &ws, DecodeResult &out) const
 {
-    ARCC_ASSERT(slices.size() == 9);
+    ARCC_ASSERT(slices.size() == 9 * kWords);
     ARCC_ASSERT(data.size() == static_cast<std::size_t>(dataBytes()));
     ARCC_ASSERT(erased.empty()); // SECDED has no erasure channel.
     (void)ws;
@@ -300,9 +224,9 @@ SecdedLineCodec::decodeInto(DeviceSlices &slices,
     for (int w = 0; w < kWords; ++w) {
         std::uint64_t word = 0;
         for (int d = 0; d < 8; ++d)
-            word |= static_cast<std::uint64_t>(slices[d][w])
+            word |= static_cast<std::uint64_t>(slices[d * kWords + w])
                     << (8 * d);
-        std::uint8_t check = slices[8][w];
+        std::uint8_t check = slices[8 * kWords + w];
 
         const Secded::Result res = Secded::decode(word, check);
         if (res.status == DecodeStatus::Detected) {
@@ -316,9 +240,9 @@ SecdedLineCodec::decodeInto(DeviceSlices &slices,
             out.positions.push_back(w * 73 + res.bitCorrected);
             // Write the fix back to the slices.
             for (int d = 0; d < 8; ++d)
-                slices[d][w] =
+                slices[d * kWords + w] =
                     static_cast<std::uint8_t>(word >> (8 * d));
-            slices[8][w] = check;
+            slices[8 * kWords + w] = check;
         }
         for (int d = 0; d < 8; ++d)
             data[w * 8 + d] =
@@ -361,22 +285,12 @@ BchLineCodec::encodeInto(std::span<const std::uint8_t> data,
                          DeviceSlices &out, LineWorkspace &ws) const
 {
     ARCC_ASSERT(data.size() == static_cast<std::size_t>(dataBytes_));
+    (void)ws; // The encoder runs in registers.
 
-    // Stage the full wire image (data || parity || zero pad || device
-    // padding) then carve contiguous per-device chunks off it.
-    const int wireBytes = devices_ * sliceBytes_;
-    ws.wire.assign(wireBytes, 0);
-    std::copy(data.begin(), data.end(), ws.wire.begin());
-    bch_.encode(std::span<std::uint8_t>(ws.wire.data(),
-                                        bch_.codeBytes()));
-
-    out.resize(devices_);
-    for (int d = 0; d < devices_; ++d) {
-        out[d].resize(sliceBytes_);
-        std::copy(ws.wire.begin() + d * sliceBytes_,
-                  ws.wire.begin() + (d + 1) * sliceBytes_,
-                  out[d].begin());
-    }
+    // The buffer is the wire image: data || parity || zero pad.
+    out.assign(static_cast<std::size_t>(devices_) * sliceBytes_, 0);
+    std::copy(data.begin(), data.end(), out.begin());
+    bch_.encode(std::span<std::uint8_t>(out.data(), bch_.codeBytes()));
 }
 
 void
@@ -385,7 +299,8 @@ BchLineCodec::decodeInto(DeviceSlices &slices,
                          std::span<const int> erased, LineWorkspace &ws,
                          DecodeResult &out) const
 {
-    ARCC_ASSERT(slices.size() == static_cast<std::size_t>(devices_));
+    ARCC_ASSERT(slices.size() ==
+                static_cast<std::size_t>(devices_) * sliceBytes_);
     ARCC_ASSERT(data.size() == static_cast<std::size_t>(dataBytes_));
     ARCC_ASSERT(erased.empty()); // No erasure channel.
 
@@ -393,18 +308,11 @@ BchLineCodec::decodeInto(DeviceSlices &slices,
     out.symbolsCorrected = 0;
     out.positions.clear();
 
-    const int wireBytes = devices_ * sliceBytes_;
-    ws.wire.resize(wireBytes);
-    for (int d = 0; d < devices_; ++d) {
-        ARCC_ASSERT(slices[d].size() ==
-                    static_cast<std::size_t>(sliceBytes_));
-        std::copy(slices[d].begin(), slices[d].end(),
-                  ws.wire.begin() + d * sliceBytes_);
-    }
-
+    // In place: the decoder checks every syndrome before it flips a
+    // bit, so a Detected decode leaves the buffer untouched.
     const Bch::Result res = bch_.decode(
-        std::span<std::uint8_t>(ws.wire.data(), bch_.codeBytes()),
-        ws.bch, &out.positions);
+        std::span<std::uint8_t>(slices.data(), bch_.codeBytes()), ws.bch,
+        &out.positions);
     if (res.status == DecodeStatus::Detected) {
         out.status = DecodeStatus::Detected;
         return; // Data bytes not written.
@@ -412,14 +320,8 @@ BchLineCodec::decodeInto(DeviceSlices &slices,
     if (res.status == DecodeStatus::Corrected) {
         out.status = DecodeStatus::Corrected;
         out.symbolsCorrected = res.bitsCorrected;
-        // Write the fixes back to the slices.
-        for (int d = 0; d < devices_; ++d)
-            std::copy(ws.wire.begin() + d * sliceBytes_,
-                      ws.wire.begin() + (d + 1) * sliceBytes_,
-                      slices[d].begin());
     }
-    std::copy(ws.wire.begin(), ws.wire.begin() + dataBytes_,
-              data.begin());
+    std::copy_n(slices.begin(), dataBytes_, data.begin());
 }
 
 // ---------------------------------------------------------------------

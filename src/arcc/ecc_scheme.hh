@@ -1,7 +1,9 @@
 /**
  * @file
  * Line-level ECC scheme codecs: the mapping between a cache line's data
- * bytes and the per-device symbol slices stored in DRAM.
+ * bytes and the per-device symbol slices stored in DRAM.  An encoded
+ * line is one flat, device-major buffer (DeviceSlices): device d's
+ * slice is bytes [d * sliceBytes(), (d + 1) * sliceBytes()).
  *
  * Figure 2.1's layout rule is honoured by construction: every symbol of
  * a codeword is stored in a different device, so a whole-device failure
@@ -39,38 +41,32 @@
 namespace arcc
 {
 
-/** Per-device slices of one encoded line. */
-using DeviceSlices = std::vector<std::vector<std::uint8_t>>;
+/**
+ * One encoded line: devices() x sliceBytes() bytes in device-major
+ * order, device d's slice at offset d * sliceBytes().  One heap block
+ * whatever the device count, so a buffer reused across codecs of
+ * different widths reallocates only when it outgrows its capacity.
+ */
+using DeviceSlices = std::vector<std::uint8_t>;
 
 /**
  * Scratch arena for one in-flight line encode / decode: the
- * Reed-Solomon workspace plus staging buffers whose heap storage is
- * reused across calls, so a steady-state sweep (same codec, same
- * geometry) performs zero allocations after its first group.  One per
- * SimEngine worker / shard; not thread-safe.
+ * Reed-Solomon and BCH workspaces plus buffers whose heap storage is
+ * reused across calls, so a steady-state sweep performs zero
+ * allocations after its first group.  One per SimEngine worker /
+ * shard; not thread-safe.
  */
 struct LineWorkspace
 {
     RsWorkspace rs;
     /** BCH decoder scratch (codec-zoo bit-granularity codecs). */
     BchWorkspace bch;
-    /** Serialized-codeword staging for the wire-format codecs. */
-    std::vector<std::uint8_t> wire;
-    /** Gathered per-device slices (storage reused across groups). */
+    /** Gathered line (storage reused across groups). */
     DeviceSlices slices;
-    /** LOT-ECC line staging. */
-    LotLine lot;
     /** Erased-device list scratch for the memory model. */
     std::vector<int> erased;
     /** Decode-result scratch (positions keeps its capacity). */
     DecodeResult dec;
-
-    /**
-     * The calling thread's default workspace.  Thread-local, so every
-     * worker gets its own with no plumbing; sharded sweeps that want
-     * explicit ownership construct their own per shard.
-     */
-    static LineWorkspace &forThisThread();
 };
 
 /**
@@ -103,7 +99,9 @@ struct CodecTraits
 };
 
 /**
- * Abstract line codec: data line <-> per-device slices.
+ * Abstract line codec: data line <-> one device-major DeviceSlices
+ * buffer.  Both directions work in the caller's buffers with scratch
+ * from the caller's LineWorkspace.
  */
 class LineCodec
 {
@@ -120,31 +118,21 @@ class LineCodec
     /** Data payload per line (64, 128 or 256). */
     virtual int dataBytes() const = 0;
 
-    /** Encode data into per-device slices (owning convenience). */
-    DeviceSlices encode(std::span<const std::uint8_t> data) const;
-
     /**
-     * Encode data into an existing slices buffer, reusing its heap
-     * storage and staging through `ws`: allocation-free once `out`
-     * has reached shape.
+     * Encode data into `out`, resized to devices() * sliceBytes() and
+     * reusing its heap storage: allocation-free once `out` has
+     * reached that capacity.
      */
     virtual void encodeInto(std::span<const std::uint8_t> data,
                             DeviceSlices &out,
                             LineWorkspace &ws) const = 0;
 
     /**
-     * Decode slices into data, correcting in place (convenience;
-     * scratch comes from the calling thread's LineWorkspace).
-     * @param erased device indices known bad (chip sparing).
-     */
-    DecodeResult decode(DeviceSlices &slices,
-                        std::span<std::uint8_t> data,
-                        std::span<const int> erased = {}) const;
-
-    /**
-     * Allocation-free decode: all scratch comes from `ws`, and the
+     * Decode `slices` into `data`, writing corrections back into
+     * `slices`.  Allocation-free: all scratch comes from `ws`, and the
      * result lands in `out` reusing its buffers (positions keeps its
      * capacity across calls).
+     * @param erased device indices known bad (chip sparing).
      */
     virtual void decodeInto(DeviceSlices &slices,
                             std::span<std::uint8_t> data,
@@ -155,10 +143,10 @@ class LineCodec
     /**
      * The RS codec behind this line format, or nullptr when the wire
      * format is not SoA-batchable (LOT-ECC's checksum+XOR lines).
-     * When non-null, the per-device slice rows double as SoA symbol
-     * rows -- slices[d][c] is symbol d of codeword c -- so a batch
-     * reader can stage whole groups into an RsWorkspace SoA block
-     * with row memcpys and screen them through
+     * When non-null, the device rows double as SoA symbol rows --
+     * byte d * sliceBytes() + c is symbol d of codeword c -- so a
+     * batch reader can stage whole groups into an RsWorkspace SoA
+     * block with row memcpys and screen them through
      * ReedSolomon::computeSyndromesSoa (see ArccMemory::accessBatch).
      */
     virtual const ReedSolomon *soaCodec() const { return nullptr; }
@@ -209,9 +197,11 @@ class RsLineCodec : public LineCodec
 
 /**
  * LOT-ECC line codec: per-device data slice + embedded ones'-complement
- * checksum, plus an XOR parity device.  The 16-data-device variant is
- * the 18-device double-chip-sparing extension of Chapter 5.2 (the
- * spare device is managed by the memory model, not the codec).
+ * checksum, plus an XOR parity device.  Its device rows are LotEcc's
+ * rows, so the codec encodes and decodes them in place.  The
+ * 16-data-device variant is the 18-device double-chip-sparing
+ * extension of Chapter 5.2 (the spare device is managed by the memory
+ * model, not the codec).
  */
 class LotLineCodec : public LineCodec
 {
@@ -228,11 +218,7 @@ class LotLineCodec : public LineCodec
 
     CodecTraits traits() const override;
     int devices() const override { return lot_.dataDevices() + 1; }
-    int
-    sliceBytes() const override
-    {
-        return lot_.sliceBytes() + 2; // slice + embedded checksum.
-    }
+    int sliceBytes() const override { return lot_.rowBytes(); }
     int dataBytes() const override { return dataBytes_; }
 
     void encodeInto(std::span<const std::uint8_t> data,
@@ -293,9 +279,10 @@ class SecdedLineCodec : public LineCodec
 /**
  * BCH line codec: the whole line is one shortened binary
  * BCH(dataBytes * 8 + parity, dataBytes * 8) codeword correcting t
- * bit errors, serialized data-then-parity and striped over `devices`
- * in contiguous chunks (device d stores wire bytes
- * [d * sliceBytes, (d+1) * sliceBytes), zero-padded at the tail).
+ * bit errors.  The line buffer is the wire image -- data, then
+ * parity, then zero pad -- so device d stores wire bytes
+ * [d * sliceBytes, (d+1) * sliceBytes) and the codec encodes and
+ * decodes the buffer in place.
  */
 class BchLineCodec : public LineCodec
 {

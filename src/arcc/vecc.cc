@@ -140,15 +140,15 @@ VeccMemory::tier2Decode(std::uint64_t line,
     stats_.deviceAccesses += res.deviceAccesses;
 }
 
-VeccReadResult
-VeccMemory::read(std::uint64_t line)
+void
+VeccMemory::readInto(std::uint64_t line, VeccReadResult &res)
 {
     ARCC_ASSERT(line < lines_);
     ++stats_.reads;
 
-    VeccReadResult res;
     const std::span<std::uint8_t> word = gather(line);
     res.deviceAccesses = geom_.devices;
+    res.tier2Fetched = false;
 
     // Tier-1 fast path: detection only (a zero syndrome screen; with
     // maxCorrect = 0 the decoder flags every non-zero pattern, so the
@@ -161,10 +161,17 @@ VeccMemory::read(std::uint64_t line)
         res.data.assign(word.begin(),
                         word.begin() + geom_.dataDevices);
         stats_.deviceAccesses += res.deviceAccesses;
-        return res;
+        return;
     }
 
     tier2Decode(line, word, res);
+}
+
+VeccReadResult
+VeccMemory::read(std::uint64_t line)
+{
+    VeccReadResult res;
+    readInto(line, res);
     return res;
 }
 
@@ -173,85 +180,8 @@ VeccMemory::readBatch(std::span<const std::uint64_t> lines,
                       std::vector<VeccReadResult> &out)
 {
     out.resize(lines.size());
-
-    // Phase 1: the tier-1 syndrome screen over the whole batch, run
-    // through the SoA kernel: one VECC line is one codeword, so a
-    // chunk of kSoaLanes lines transposes into one block and the
-    // inline syndromes of all of them come from a single vector pass
-    // (the inline checks are exactly the code's r() syndromes).
-    // Clean lines (the overwhelmingly common case) complete here
-    // allocation-free; flagged lines stash their corrupted inline
-    // word and queue for the tier-2 pass.
-    flagged_.clear();
-    const int n = geom_.devices;
-    constexpr std::size_t kLanes = RsWorkspace::kSoaLanes;
-    for (std::size_t c0 = 0; c0 < lines.size(); c0 += kLanes) {
-        const int chunk = static_cast<int>(
-            std::min(kLanes, lines.size() - c0));
-
-        // Transposed gather + dead-device corruption.
-        for (int l = 0; l < chunk; ++l) {
-            const std::uint64_t line = lines[c0 + l];
-            ARCC_ASSERT(line < lines_);
-            const std::uint8_t *src = inline_.data() + line * n;
-            for (int s = 0; s < n; ++s)
-                ws_.soa[static_cast<std::size_t>(s) * kLanes + l] =
-                    src[s];
-        }
-        for (int d : deadDevices_) {
-            std::uint8_t *row =
-                ws_.soa.data() + static_cast<std::size_t>(d) * kLanes;
-            for (int l = 0; l < chunk; ++l) {
-                const std::uint64_t line = lines[c0 + l];
-                std::uint64_t z = line * 0x9e3779b97f4a7c15ULL + d;
-                z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-                z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-                row[l] ^= static_cast<std::uint8_t>((z >> 56) | 1);
-            }
-        }
-
-        rs_.computeSyndromesSoa(ws_.soa.data(), kLanes, chunk,
-                                ws_.syndSoa.data(),
-                                ws_.soaFlags.data());
-
-        for (int l = 0; l < chunk; ++l) {
-            const std::size_t i = c0 + l;
-            ++stats_.reads;
-            VeccReadResult &res = out[i];
-            res.tier2Fetched = false;
-            res.deviceAccesses = n;
-            if (ws_.soaFlags[l] == 0) {
-                res.status = DecodeStatus::Clean;
-                res.data.resize(
-                    static_cast<std::size_t>(geom_.dataDevices));
-                for (int s = 0; s < geom_.dataDevices; ++s)
-                    res.data[s] =
-                        ws_.soa[static_cast<std::size_t>(s) * kLanes +
-                                l];
-                stats_.deviceAccesses += res.deviceAccesses;
-            } else {
-                // Park the gathered word (device count symbols) in
-                // the result buffer until the tier-2 pass reshapes
-                // it.
-                res.data.resize(static_cast<std::size_t>(n));
-                for (int s = 0; s < n; ++s)
-                    res.data[s] =
-                        ws_.soa[static_cast<std::size_t>(s) * kLanes +
-                                l];
-                flagged_.push_back(i);
-            }
-        }
-    }
-
-    // Phase 2: grouped tier-2 fetch + extended-syndrome decode for
-    // the flagged lines, back to back over one workspace.
-    for (std::size_t i : flagged_) {
-        VeccReadResult &res = out[i];
-        const std::span<std::uint8_t> word(
-            ws_.word.data(), static_cast<std::size_t>(geom_.devices));
-        std::copy(res.data.begin(), res.data.end(), word.begin());
-        tier2Decode(lines[i], word, res);
-    }
+    for (std::size_t i = 0; i < lines.size(); ++i)
+        readInto(lines[i], out[i]);
 }
 
 void

@@ -114,17 +114,10 @@ class VeccMemory
     VeccReadResult read(std::uint64_t line);
 
     /**
-     * Batched read: the tier-1 syndrome screen runs over the whole
-     * batch first (allocation-free per line), then the lines it
-     * flagged take one grouped tier-2 pass -- fetching their
-     * virtualised symbols and running the extended-syndrome decode
-     * back to back over one reused workspace, the way a memory
-     * controller would burst the tier-2 fetches of a faulty rank.
-     *
-     * `out` is resized to lines.size(); its per-line buffers are
-     * reused across calls, so a steady-state caller allocates nothing
-     * after the first batch.  Results and stats are identical to
-     * calling read() per line in order.
+     * Batched read: read() per line, in order, into `out` (resized to
+     * lines.size()).  Its per-line buffers are reused across calls,
+     * so a steady-state caller allocates nothing after the first
+     * batch.  Results and stats are identical to read() per line.
      */
     void readBatch(std::span<const std::uint64_t> lines,
                    std::vector<VeccReadResult> &out);
@@ -138,6 +131,9 @@ class VeccMemory
     const VeccGeometry &geometry() const { return geom_; }
 
   private:
+    /** The read path: result into `res`, reusing its data buffer. */
+    void readInto(std::uint64_t line, VeccReadResult &res);
+
     /** Apply dead-device corruption to a gathered inline word. */
     void corrupt(std::uint64_t line,
                  std::span<std::uint8_t> word) const;
@@ -165,8 +161,6 @@ class VeccMemory
 
     /** Decode scratch (this memory is single-owner, like its Rng). */
     RsWorkspace ws_;
-    /** Batch indices flagged for the tier-2 pass. */
-    std::vector<std::size_t> flagged_;
 };
 
 } // namespace arcc

@@ -42,7 +42,6 @@ PageUpgradeOracle::forScenario(Scenario s, const MemoryConfig &config)
 {
     PageUpgradeOracle o;
     o.scenario_ = s;
-    o.map_ = std::make_shared<AddressMap>(config, MapPolicy::HiPerf);
     int ranks = config.ranksPerChannel;
     int banks = config.device.banks;
     switch (s) {
@@ -64,6 +63,10 @@ PageUpgradeOracle::forScenario(Scenario s, const MemoryConfig &config)
       case Scenario::Fraction:
         fatal("use forFraction for the Fraction scenario");
     }
+    // Only these scenarios decode addresses in upgraded().
+    if (s == Scenario::Device || s == Scenario::Bank ||
+        s == Scenario::Column)
+        o.map_ = std::make_shared<AddressMap>(config, MapPolicy::HiPerf);
     return o;
 }
 
@@ -74,7 +77,7 @@ PageUpgradeOracle::forFraction(double fraction, const MemoryConfig &config)
     o.scenario_ = Scenario::Fraction;
     o.fraction_ = fraction;
     o.expected_ = fraction;
-    o.map_ = std::make_shared<AddressMap>(config, MapPolicy::HiPerf);
+    (void)config; // A page hash, not an address decode: no map.
     return o;
 }
 

@@ -93,7 +93,8 @@ class PageUpgradeOracle
     /**
      * Pseudo-random pages upgraded at the given fraction.
      * @param fraction expected fraction of pages upgraded, in [0, 1].
-     * @param config   memory geometry.
+     * @param config   memory geometry (unread: pages are hashed by
+     *                 address, not decoded).
      */
     static PageUpgradeOracle forFraction(double fraction,
                                          const MemoryConfig &config);
@@ -132,6 +133,8 @@ class PageUpgradeOracle
     Scenario scenario_ = Scenario::None;
     double expected_ = 0.0;
     double fraction_ = 0.0;
+    /** HiPerf map of the Device, Bank and Column scenarios; null for
+     *  the others, whose upgraded() decodes no address. */
     std::shared_ptr<AddressMap> map_;
 };
 

@@ -12,6 +12,29 @@
 namespace arcc
 {
 
+namespace
+{
+
+/** The big-endian checksum stored after a row's slice. */
+std::uint16_t
+storedChecksum(std::span<const std::uint8_t> row, int slice_bytes)
+{
+    return static_cast<std::uint16_t>((row[slice_bytes] << 8) |
+                                      row[slice_bytes + 1]);
+}
+
+/** Checksum a row's slice into the row's trailing two bytes. */
+void
+sealRow(std::span<std::uint8_t> row, int slice_bytes)
+{
+    const std::uint16_t sum =
+        OnesComplement16::compute(row.first(slice_bytes));
+    row[slice_bytes] = static_cast<std::uint8_t>(sum >> 8);
+    row[slice_bytes + 1] = static_cast<std::uint8_t>(sum & 0xff);
+}
+
+} // anonymous namespace
+
 LotEcc::LotEcc(int dataDevices, int lineBytes)
     : dataDevices_(dataDevices), lineBytes_(lineBytes)
 {
@@ -21,54 +44,53 @@ LotEcc::LotEcc(int dataDevices, int lineBytes)
         fatal("LotEcc: line of %d bytes does not stripe over %d devices",
               lineBytes, dataDevices);
     sliceBytes_ = lineBytes / dataDevices;
-    if (sliceBytes_ > kMaxSliceBytes)
-        fatal("LotEcc: %dB slices exceed the supported %dB",
-              sliceBytes_, kMaxSliceBytes);
 }
 
 void
-LotEcc::encodeInto(std::span<const std::uint8_t> line, LotLine &out) const
+LotEcc::encodeInto(std::span<const std::uint8_t> line,
+                   std::span<std::uint8_t> rows) const
 {
     ARCC_ASSERT(line.size() == static_cast<std::size_t>(lineBytes_));
-    out.slices.resize(dataDevices_ + 1);
-    out.checksums.resize(dataDevices_ + 1);
+    const int rb = rowBytes();
+    ARCC_ASSERT(rows.size() ==
+                static_cast<std::size_t>(dataDevices_ + 1) * rb);
 
-    std::uint8_t parity[kMaxSliceBytes] = {};
+    const std::span<std::uint8_t> parity =
+        rows.subspan(static_cast<std::size_t>(dataDevices_) * rb,
+                     sliceBytes_);
+    std::fill(parity.begin(), parity.end(), 0);
     for (int d = 0; d < dataDevices_; ++d) {
-        auto first = line.begin() + d * sliceBytes_;
-        out.slices[d].assign(first, first + sliceBytes_);
-        for (int i = 0; i < sliceBytes_; ++i)
-            parity[i] ^= out.slices[d][i];
-        out.checksums[d] = OnesComplement16::compute(out.slices[d]);
+        const std::span<std::uint8_t> row = rows.subspan(d * rb, rb);
+        std::copy_n(line.begin() + d * sliceBytes_, sliceBytes_,
+                    row.begin());
+        xorInto(parity, row.first(sliceBytes_));
+        sealRow(row, sliceBytes_);
     }
-    out.slices[dataDevices_].assign(parity, parity + sliceBytes_);
-    out.checksums[dataDevices_] =
-        OnesComplement16::compute(out.slices[dataDevices_]);
-}
-
-LotLine
-LotEcc::encode(std::span<const std::uint8_t> line) const
-{
-    LotLine out;
-    encodeInto(line, out);
-    return out;
+    sealRow(rows.subspan(static_cast<std::size_t>(dataDevices_) * rb, rb),
+            sliceBytes_);
 }
 
 LotDecodeResult
-LotEcc::decode(LotLine &line) const
+LotEcc::decode(std::span<std::uint8_t> rows,
+               std::span<const int> erased) const
 {
-    ARCC_ASSERT(line.slices.size() ==
-                static_cast<std::size_t>(dataDevices_ + 1));
+    const int rb = rowBytes();
+    ARCC_ASSERT(rows.size() ==
+                static_cast<std::size_t>(dataDevices_ + 1) * rb);
 
     LotDecodeResult res;
 
-    // Tier-1: localise via the per-device checksums.  At most two
-    // mismatches matter (a second one already means Detected).
+    // Tier-1: localise via the per-device checksums.  An erased device
+    // is a mismatch by diagnosis, whatever its row holds.
     int bad_count = 0;
     int victim = -1;
     for (int d = 0; d <= dataDevices_; ++d) {
-        if (!OnesComplement16::verify(line.slices[d],
-                                      line.checksums[d])) {
+        const std::span<const std::uint8_t> row = rows.subspan(d * rb, rb);
+        const bool bad =
+            std::find(erased.begin(), erased.end(), d) != erased.end() ||
+            !OnesComplement16::verify(row.first(sliceBytes_),
+                                      storedChecksum(row, sliceBytes_));
+        if (bad) {
             if (bad_count == 0)
                 victim = d;
             ++bad_count;
@@ -88,18 +110,13 @@ LotEcc::decode(LotLine &line) const
 
     // Tier-2: reconstruct the single bad slice from the XOR of all the
     // other slices (parity included, unless parity itself is bad).
-    ARCC_ASSERT(line.slices[victim].size() ==
-                static_cast<std::size_t>(sliceBytes_));
-    std::uint8_t rebuilt[kMaxSliceBytes] = {};
-    for (int d = 0; d <= dataDevices_; ++d) {
+    const std::span<std::uint8_t> fix =
+        rows.subspan(victim * rb, sliceBytes_);
+    std::fill(fix.begin(), fix.end(), 0);
+    for (int d = 0; d <= dataDevices_; ++d)
         if (d != victim)
-            for (int i = 0; i < sliceBytes_; ++i)
-                rebuilt[i] ^= line.slices[d][i];
-    }
-    std::copy(rebuilt, rebuilt + sliceBytes_,
-              line.slices[victim].begin());
-    line.checksums[victim] = OnesComplement16::compute(
-        line.slices[victim]);
+            xorInto(fix, rows.subspan(d * rb, sliceBytes_));
+    sealRow(rows.subspan(victim * rb, rb), sliceBytes_);
 
     res.status = DecodeStatus::Corrected;
     res.deviceCorrected = victim;
@@ -107,21 +124,14 @@ LotEcc::decode(LotLine &line) const
 }
 
 void
-LotEcc::extractInto(const LotLine &line,
+LotEcc::extractInto(std::span<const std::uint8_t> rows,
                     std::span<std::uint8_t> out) const
 {
     ARCC_ASSERT(out.size() == static_cast<std::size_t>(lineBytes_));
+    const int rb = rowBytes();
     for (int d = 0; d < dataDevices_; ++d)
-        std::copy(line.slices[d].begin(), line.slices[d].end(),
-                  out.begin() + d * sliceBytes_);
-}
-
-std::vector<std::uint8_t>
-LotEcc::extract(const LotLine &line) const
-{
-    std::vector<std::uint8_t> out(lineBytes_);
-    extractInto(line, out);
-    return out;
+        std::copy_n(rows.begin() + d * rb, sliceBytes_,
+                    out.begin() + d * sliceBytes_);
 }
 
 } // namespace arcc

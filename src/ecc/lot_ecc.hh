@@ -28,22 +28,12 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "ecc/checksum.hh"
 #include "ecc/reed_solomon.hh" // DecodeStatus
 
 namespace arcc
 {
-
-/** One LOT-ECC protected line plus its redundancy. */
-struct LotLine
-{
-    /** Per-device data slices; [dataDevices] is the XOR parity slice. */
-    std::vector<std::vector<std::uint8_t>> slices;
-    /** Per-slice ones'-complement checksums (data + parity slices). */
-    std::vector<std::uint16_t> checksums;
-};
 
 /** Result of a LOT-ECC line verification. */
 struct LotDecodeResult
@@ -55,6 +45,12 @@ struct LotDecodeResult
 
 /**
  * Encoder / decoder for LOT-ECC lines.
+ *
+ * An encoded line is dataDevices() + 1 rows of rowBytes() bytes, one
+ * per device, back to back: row d is device d's slice followed by the
+ * slice's big-endian checksum, and row dataDevices() holds the XOR
+ * parity slice and its checksum.  This is the layout stored in DRAM,
+ * so every operation works on the caller's buffer in place.
  */
 class LotEcc
 {
@@ -67,38 +63,34 @@ class LotEcc
 
     int dataDevices() const { return dataDevices_; }
     int sliceBytes() const { return sliceBytes_; }
+    /** Bytes per device row: the slice plus its 2-byte checksum. */
+    int rowBytes() const { return sliceBytes_ + 2; }
 
-    /** Encode a line into slices, parity and checksums. */
-    LotLine encode(std::span<const std::uint8_t> line) const;
+    /**
+     * Encode a line into `rows`: slices, parity and checksums.
+     * @param rows (dataDevices() + 1) * rowBytes() bytes.
+     */
+    void encodeInto(std::span<const std::uint8_t> line,
+                    std::span<std::uint8_t> rows) const;
 
     /**
      * Verify a line and correct at most one bad device in place.
-     * Localisation uses the checksums; correction uses XOR parity.
-     * Two or more checksum mismatches are Detected (uncorrectable).
-     * Allocation-free.
+     * Localisation uses the checksums; correction uses XOR parity and
+     * rewrites the rebuilt row's checksum.  A device listed in
+     * `erased` (remapped to the spare by the memory model) counts as
+     * a checksum mismatch whatever its row holds.  Two or more
+     * mismatches are Detected (uncorrectable) and leave the rows as
+     * they were.
      */
-    LotDecodeResult decode(LotLine &line) const;
-
-    /** Reassemble the data bytes of a (verified) line. */
-    std::vector<std::uint8_t> extract(const LotLine &line) const;
+    LotDecodeResult decode(std::span<std::uint8_t> rows,
+                           std::span<const int> erased = {}) const;
 
     /**
-     * Allocation-free variant of extract: writes the data bytes into
-     * the caller's buffer (exactly lineBytes long).
+     * Reassemble the data bytes of a (verified) line into `out`
+     * (exactly lineBytes long).
      */
-    void extractInto(const LotLine &line,
+    void extractInto(std::span<const std::uint8_t> rows,
                      std::span<std::uint8_t> out) const;
-
-    /**
-     * Re-encode a line into an existing LotLine, reusing its buffers
-     * (allocation-free once the buffers have reached capacity).
-     */
-    void encodeInto(std::span<const std::uint8_t> line,
-                    LotLine &out) const;
-
-    /** Largest per-device slice the codec supports (stack buffers in
-     *  the allocation-free decode are sized by this). */
-    static constexpr int kMaxSliceBytes = 64;
 
   private:
     int dataDevices_;

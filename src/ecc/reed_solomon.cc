@@ -295,13 +295,6 @@ ReedSolomon::computeSyndromes(std::span<const std::uint8_t> codeword,
     return any;
 }
 
-bool
-ReedSolomon::syndromesZero(std::span<const std::uint8_t> codeword) const
-{
-    std::uint8_t synd[RsWorkspace::kMaxChecks];
-    return !computeSyndromes(codeword, std::span<std::uint8_t>(synd, r()));
-}
-
 std::uint8_t
 ReedSolomon::evalAt(std::span<const std::uint8_t> codeword, int j) const
 {
@@ -599,39 +592,6 @@ ReedSolomon::decodeSoa(std::uint8_t *soa, std::size_t stride, int lanes,
             results[l].symbolsCorrected = v.symbolsCorrected;
         }
     }
-}
-
-namespace
-{
-
-/** Copy a fast-path view into the owning legacy result. */
-DecodeResult
-own(const RsDecodeView &v)
-{
-    DecodeResult res;
-    res.status = v.status;
-    res.symbolsCorrected = v.symbolsCorrected;
-    res.positions.assign(v.positions.begin(), v.positions.end());
-    return res;
-}
-
-} // anonymous namespace
-
-DecodeResult
-ReedSolomon::decode(std::span<std::uint8_t> codeword, int maxCorrect,
-                    std::span<const int> erasures) const
-{
-    return own(decode(codeword, tlsWorkspace(), maxCorrect, erasures));
-}
-
-DecodeResult
-ReedSolomon::decodeWithSyndromes(std::span<std::uint8_t> codeword,
-                                 std::span<const std::uint8_t> synd,
-                                 int maxCorrect,
-                                 std::span<const int> erasures) const
-{
-    return own(decodeWithSyndromes(codeword, synd, tlsWorkspace(),
-                                   maxCorrect, erasures));
 }
 
 } // namespace arcc

@@ -56,7 +56,11 @@ enum class DecodeStatus
     Detected,
 };
 
-/** Full result of a decode attempt (owning; legacy convenience). */
+/**
+ * Owning result of a line decode (LineCodec::decodeInto) and of the
+ * reference RS oracle.  Callers reuse one across decodes: positions
+ * keeps its capacity.
+ */
 struct DecodeResult
 {
     DecodeStatus status = DecodeStatus::Clean;
@@ -125,13 +129,6 @@ class ReedSolomon
     void encode(std::span<std::uint8_t> codeword) const;
 
     /**
-     * Syndrome check without correction.  Allocation-free; this is
-     * the per-clean-line fast path of every sweep.
-     * @return true when all syndromes are zero.
-     */
-    bool syndromesZero(std::span<const std::uint8_t> codeword) const;
-
-    /**
      * Compute the first `synd.size()` syndromes S_j = c(alpha^j) into
      * the caller's buffer.  Allocation-free.
      * @pre synd.size() <= r().  Evaluations at the extension roots
@@ -195,15 +192,6 @@ class ReedSolomon
                         std::span<const int> erasures = {}) const;
 
     /**
-     * Decode in place (owning-result convenience; uses the calling
-     * thread's default workspace).  The clean path allocates nothing;
-     * a correction allocates only the returned position list.
-     */
-    DecodeResult decode(std::span<std::uint8_t> codeword,
-                        int maxCorrect = -1,
-                        std::span<const int> erasures = {}) const;
-
-    /**
      * Evaluate the received word at alpha^j (the j-th syndrome of the
      * error polynomial when j < r; for j >= r this is the evaluation a
      * *virtualised* check symbol must match).  VECC stores such extra
@@ -226,16 +214,10 @@ class ReedSolomon
         std::span<const std::uint8_t> synd, RsWorkspace &ws,
         int maxCorrect = -1, std::span<const int> erasures = {}) const;
 
-    /** Owning-result convenience overload (thread-default workspace). */
-    DecodeResult decodeWithSyndromes(
-        std::span<std::uint8_t> codeword,
-        std::span<const std::uint8_t> synd, int maxCorrect = -1,
-        std::span<const int> erasures = {}) const;
-
     /**
      * The calling thread's default workspace.  Thread-local, so
-     * "one per SimEngine worker" holds with no plumbing; the explicit
-     * workspace overloads exist so sharded sweeps can own theirs.
+     * "one per SimEngine worker" holds with no plumbing for callers
+     * that do not own one (sharded sweeps construct their own).
      */
     static RsWorkspace &tlsWorkspace();
 

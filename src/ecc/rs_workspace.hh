@@ -57,8 +57,9 @@ struct RsWorkspace
      * codewords one ReedSolomon::decodeSoa call screens per pass.
      * A multiple of 16 (the SIMD shuffle width, see ecc/gf256_simd.hh)
      * sized to swallow the widest natural batch in one block -- eight
-     * relaxed RS(18,16) groups of 4 codewords, a full VECC chunk, or
-     * two upgraded groups.
+     * relaxed RS(18,16) groups of 4 codewords, or two upgraded
+     * groups -- staged by ArccMemory::accessBatch one device row per
+     * memcpy.
      */
     static constexpr int kSoaLanes = 32;
 
@@ -91,7 +92,8 @@ struct RsWorkspace
      *  workspace. */
     std::array<int, kMaxSymbols> positions;
 
-    /** Codeword staging for line codecs (one symbol per device). */
+    /** One codeword gathered from a line's device rows (RS line
+     *  codecs, VECC): symbol d from device d. */
     std::array<std::uint8_t, kMaxSymbols> word;
 
     // ----- SoA batch staging (ReedSolomon::decodeSoa) ----------------

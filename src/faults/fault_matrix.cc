@@ -132,20 +132,19 @@ hashValue(std::uint64_t h, std::uint64_t v)
     return Rng::mix64(h ^ v);
 }
 
-/** Inject `mask`-style corruption at one wire position. */
+/**
+ * Inject corruption at one wire position: the line buffer's byte index
+ * for symbol codecs, its bit index for bit codecs (device-major, so
+ * device d's positions are [d * slotPositions, (d + 1) * slotPositions)).
+ */
 void
-applyError(DeviceSlices &slices, int pos, int slotPositions,
-           int symbolBits, Rng &rng)
+applyError(DeviceSlices &line, int pos, int symbolBits, Rng &rng)
 {
-    const int device = pos / slotPositions;
-    const int within = pos % slotPositions;
     if (symbolBits == 1) {
-        slices[device][within / 8] ^=
-            static_cast<std::uint8_t>(1 << (within % 8));
+        line[pos / 8] ^= static_cast<std::uint8_t>(1 << (pos % 8));
     } else {
         // Whole-symbol corruption: any non-zero XOR mask.
-        slices[device][within] ^=
-            static_cast<std::uint8_t>(1 + rng.below(255));
+        line[pos] ^= static_cast<std::uint8_t>(1 + rng.below(255));
     }
 }
 
@@ -315,8 +314,7 @@ runFaultMatrix(const FaultMatrixConfig &config, SimEngine *engine)
                     }
                 }
                 for (int p : positions)
-                    applyError(slices, p, plan.slotPositions,
-                               codec.traits().symbolBits, rng);
+                    applyError(slices, p, codec.traits().symbolBits, rng);
 
                 decoded.resize(codec.dataBytes());
                 codec.decodeInto(slices, decoded, {}, ws, ws.dec);

@@ -2,10 +2,12 @@
  * @file
  * Heap-allocation audits for the steady-state decode paths.
  *
- * The PR contract is that the ECC hot loops -- syndrome screens,
- * encodes, decodes, the scrub-style batch sweep, line writes, the VECC
- * batch -- perform *zero* heap allocations once their workspaces are
- * warm.
+ * The contract is that the ECC hot loops -- syndrome screens, encodes,
+ * decodes, the scrub-style batch sweep, line writes, the VECC batch --
+ * perform *zero* heap allocations once their workspaces are warm,
+ * including when one workspace serves upgraded (36-device) and relaxed
+ * (18-device) groups in turn: an encoded line is one flat buffer, so
+ * switching group widths reuses its capacity.
  * This binary replaces the global operator new/delete with counting
  * wrappers and measures allocation deltas across the hot regions, and
  * live-byte peaks across whole simulations.
@@ -152,8 +154,10 @@ TEST(AllocFree, RsEncodeSyndromeAndDecodeLoops)
     bool ok = true;
     const std::uint64_t allocs = allocationsIn([&] {
         for (int t = 0; t < 200; ++t) {
-            // Clean-word syndrome screen (the per-access fast path).
-            ok = ok && rs.syndromesZero(clean);
+            // Clean-word syndrome screen.
+            ok = ok && !rs.computeSyndromes(
+                           clean, std::span<std::uint8_t>(ws.synd.data(),
+                                                          rs.r()));
             // Encode.
             word = clean;
             rs.encode(word);
@@ -307,6 +311,27 @@ TEST(AllocFree, ScrubStyleBatchSweepSteadyState)
     EXPECT_TRUE(ok);
     EXPECT_EQ(allocs, 0u)
         << "the batched sweep must be allocation-free in steady state";
+
+    // One-page batches alternating an upgraded and a relaxed page
+    // through one workspace, as a mixed-mode memory is swept: every
+    // staged group switches between 36 and 18 devices per call.
+    mem.setPageMode(1, PageMode::Relaxed);
+    bool mixed_ok = true;
+    const std::uint64_t mixed = allocationsIn([&] {
+        for (std::uint64_t call = 0; call < 128; ++call) {
+            const std::uint64_t base = (call % 2) * kPageBytes;
+            for (std::uint64_t i = 0; i < kLinesPerPage; ++i)
+                scratch.addrs[i] = base + i * kLineBytes;
+            mem.accessBatch(scratch.addrs, stats, scratch.mem,
+                            scratch.lines);
+            for (const ReadResult &r : scratch.lines)
+                mixed_ok = mixed_ok && r.status == DecodeStatus::Clean;
+        }
+    });
+
+    EXPECT_TRUE(mixed_ok);
+    EXPECT_EQ(mixed, 0u) << "alternating upgraded and relaxed batches "
+                            "must be allocation-free in steady state";
 }
 
 TEST(AllocFree, LineWriteSteadyState)
@@ -341,6 +366,21 @@ TEST(AllocFree, LineWriteSteadyState)
                                    lines.begin() + i * kLineBytes));
         }
     }
+
+    // Writes alternating between the upgraded and the relaxed page:
+    // the workspace's line buffer switches between 36 and 18 devices
+    // on every call.
+    const std::uint64_t mixed = allocationsIn([&] {
+        for (std::uint64_t w = 0; w < 2 * kLinesPerPage; ++w) {
+            const std::uint64_t i = w / 2;
+            mem.write((w % 2) * kPageBytes + i * kLineBytes,
+                      std::span<const std::uint8_t>(
+                          lines.data() + i * kLineBytes, kLineBytes));
+        }
+    });
+    EXPECT_EQ(mixed, 0u) << "alternating upgraded and relaxed line "
+                            "writes must be allocation-free in steady "
+                            "state";
 }
 
 TEST(AllocFree, VeccBatchSteadyState)

@@ -26,6 +26,15 @@ randomLine(Rng &rng, std::size_t bytes = 64)
     return v;
 }
 
+/** XOR every byte of device v's slice with fresh non-zero garbage. */
+void
+killDevice(const LineCodec &codec, DeviceSlices &slices, int v, Rng &rng)
+{
+    const int sb = codec.sliceBytes();
+    for (int i = 0; i < sb; ++i)
+        slices[v * sb + i] ^= static_cast<std::uint8_t>(rng.range(1, 255));
+}
+
 // --- PageTable ---------------------------------------------------------
 
 TEST(PageTable, BootsUpgradedAndTracksCounts)
@@ -79,10 +88,13 @@ TEST_P(CodecSweep, DeviceKillBehaviour)
     const CodecCase &c = GetParam();
     auto codec = makeCodec(c.which);
     Rng rng(1000);
+    LineWorkspace ws;
+    DeviceSlices slices;
     for (int t = 0; t < 60; ++t) {
         auto data = randomLine(rng, codec->dataBytes());
-        DeviceSlices slices = codec->encode(data);
-        ASSERT_EQ(static_cast<int>(slices.size()), codec->devices());
+        codec->encodeInto(data, slices, ws);
+        ASSERT_EQ(static_cast<int>(slices.size()),
+                  codec->devices() * codec->sliceBytes());
 
         // Kill whole devices (Figure 2.1's failure model).
         std::vector<int> victims;
@@ -93,11 +105,11 @@ TEST_P(CodecSweep, DeviceKillBehaviour)
                 victims.push_back(v);
         }
         for (int v : victims)
-            for (auto &b : slices[v])
-                b ^= static_cast<std::uint8_t>(rng.range(1, 255));
+            killDevice(*codec, slices, v, rng);
 
         std::vector<std::uint8_t> out(codec->dataBytes());
-        DecodeResult res = codec->decode(slices, out);
+        DecodeResult res;
+        codec->decodeInto(slices, out, {}, ws, res);
         if (c.correctable) {
             EXPECT_NE(res.status, DecodeStatus::Detected)
                 << c.which << " kill=" << c.killDevices;
@@ -137,11 +149,13 @@ TEST(CodecSweepExtra, DcsTripleKillIsAlmostAlwaysDetected)
     // dominates and silent *success* never fabricates the original.
     auto codec = makeCodec("dcs");
     Rng rng(2024);
+    LineWorkspace ws;
+    DeviceSlices slices;
     int detected = 0;
     const int trials = 200;
     for (int t = 0; t < trials; ++t) {
         auto data = randomLine(rng, codec->dataBytes());
-        DeviceSlices slices = codec->encode(data);
+        codec->encodeInto(data, slices, ws);
         std::vector<int> victims;
         while (victims.size() < 3) {
             int v = static_cast<int>(rng.below(codec->devices()));
@@ -150,10 +164,10 @@ TEST(CodecSweepExtra, DcsTripleKillIsAlmostAlwaysDetected)
                 victims.push_back(v);
         }
         for (int v : victims)
-            for (auto &b : slices[v])
-                b ^= static_cast<std::uint8_t>(rng.range(1, 255));
+            killDevice(*codec, slices, v, rng);
         std::vector<std::uint8_t> out(codec->dataBytes());
-        DecodeResult res = codec->decode(slices, out);
+        DecodeResult res;
+        codec->decodeInto(slices, out, {}, ws, res);
         if (res.status == DecodeStatus::Detected)
             ++detected;
         else

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "common/rng.hh"
 #include "ecc/checksum.hh"
 #include "ecc/lot_ecc.hh"
@@ -94,6 +97,34 @@ TEST(XorInto, IsItsOwnInverse)
 
 // --- LOT-ECC ----------------------------------------------------------
 
+/** Encode a line into LotEcc's device rows. */
+std::vector<std::uint8_t>
+encodeRows(const LotEcc &lot, std::span<const std::uint8_t> line)
+{
+    std::vector<std::uint8_t> rows(
+        static_cast<std::size_t>(lot.dataDevices() + 1) * lot.rowBytes());
+    lot.encodeInto(line, rows);
+    return rows;
+}
+
+/** Device d's slice within the rows (its checksum excluded). */
+std::span<std::uint8_t>
+sliceOf(const LotEcc &lot, std::vector<std::uint8_t> &rows, int d)
+{
+    return std::span<std::uint8_t>(rows).subspan(
+        static_cast<std::size_t>(d) * lot.rowBytes(), lot.sliceBytes());
+}
+
+/** The data bytes the rows hold. */
+std::vector<std::uint8_t>
+extract(const LotEcc &lot, const std::vector<std::uint8_t> &rows)
+{
+    std::vector<std::uint8_t> out(
+        static_cast<std::size_t>(lot.dataDevices()) * lot.sliceBytes());
+    lot.extractInto(rows, out);
+    return out;
+}
+
 class LotEccSweep : public ::testing::TestWithParam<int>
 {
 };
@@ -106,9 +137,9 @@ TEST_P(LotEccSweep, RoundTripAndExtract)
         std::vector<std::uint8_t> line(64);
         for (auto &b : line)
             b = static_cast<std::uint8_t>(rng.below(256));
-        LotLine enc = lot.encode(line);
+        auto enc = encodeRows(lot, line);
         EXPECT_EQ(lot.decode(enc).status, DecodeStatus::Clean);
-        EXPECT_EQ(lot.extract(enc), line);
+        EXPECT_EQ(extract(lot, enc), line);
     }
 }
 
@@ -120,16 +151,26 @@ TEST_P(LotEccSweep, SingleDeviceCorruptionIsLocalisedAndRepaired)
         std::vector<std::uint8_t> line(64);
         for (auto &b : line)
             b = static_cast<std::uint8_t>(rng.below(256));
-        LotLine enc = lot.encode(line);
+        auto enc = encodeRows(lot, line);
         int victim =
             static_cast<int>(rng.below(lot.dataDevices() + 1));
         // Corrupt the victim slice thoroughly (decoder-style garbage).
-        for (auto &b : enc.slices[victim])
+        const std::vector<std::uint8_t> clean = enc;
+        for (auto &b : sliceOf(lot, enc, victim))
             b ^= static_cast<std::uint8_t>(rng.range(1, 255));
         LotDecodeResult res = lot.decode(enc);
         EXPECT_EQ(res.status, DecodeStatus::Corrected);
         EXPECT_EQ(res.deviceCorrected, victim);
-        EXPECT_EQ(lot.extract(enc), line);
+        EXPECT_EQ(extract(lot, enc), line);
+        EXPECT_EQ(enc, clean); // Slice and checksum rebuilt in place.
+
+        // A device diagnosed bad (erased) is rebuilt from parity even
+        // when its row still verifies.
+        const std::vector<int> erased = {victim};
+        res = lot.decode(enc, erased);
+        EXPECT_EQ(res.status, DecodeStatus::Corrected);
+        EXPECT_EQ(res.deviceCorrected, victim);
+        EXPECT_EQ(enc, clean);
     }
 }
 
@@ -141,17 +182,17 @@ TEST_P(LotEccSweep, StuckDeviceOutputAlwaysCaught)
         std::vector<std::uint8_t> line(64);
         for (auto &b : line)
             b = static_cast<std::uint8_t>(rng.range(1, 254));
-        LotLine enc = lot.encode(line);
+        auto enc = encodeRows(lot, line);
         int victim = static_cast<int>(rng.below(lot.dataDevices()));
         std::uint8_t stuck = rng.chance(0.5) ? 0x00 : 0xff;
-        std::fill(enc.slices[victim].begin(), enc.slices[victim].end(),
-                  stuck);
+        const std::span<std::uint8_t> bad = sliceOf(lot, enc, victim);
+        std::fill(bad.begin(), bad.end(), stuck);
         // The stored checksum stays what it was; the slice no longer
         // matches it (the all-0/all-1 guarantee from Chapter 2).
         LotDecodeResult res = lot.decode(enc);
         EXPECT_EQ(res.status, DecodeStatus::Corrected);
         EXPECT_EQ(res.deviceCorrected, victim);
-        EXPECT_EQ(lot.extract(enc), line);
+        EXPECT_EQ(extract(lot, enc), line);
     }
 }
 
@@ -166,14 +207,16 @@ TEST_P(LotEccSweep, TwoBadDevicesAreDetectedNotMiscorrected)
         std::vector<std::uint8_t> line(64);
         for (auto &b : line)
             b = static_cast<std::uint8_t>(rng.range(1, 254));
-        LotLine enc = lot.encode(line);
+        auto enc = encodeRows(lot, line);
         int a = static_cast<int>(rng.below(lot.dataDevices()));
         int b;
         do {
             b = static_cast<int>(rng.below(lot.dataDevices()));
         } while (b == a);
-        std::fill(enc.slices[a].begin(), enc.slices[a].end(), 0x00);
-        std::fill(enc.slices[b].begin(), enc.slices[b].end(), 0xff);
+        const std::span<std::uint8_t> sa = sliceOf(lot, enc, a);
+        const std::span<std::uint8_t> sb = sliceOf(lot, enc, b);
+        std::fill(sa.begin(), sa.end(), 0x00);
+        std::fill(sb.begin(), sb.end(), 0xff);
         LotDecodeResult res = lot.decode(enc);
         EXPECT_EQ(res.status, DecodeStatus::Detected);
     }
@@ -198,10 +241,10 @@ TEST(LotEcc, ChecksumAliasingCorruptionCanSlipThrough)
     line[1] = 0x01;
     line[2] = 0x00;
     line[3] = 0x02;
-    LotLine enc = lot.encode(line);
-    std::swap(enc.slices[0][1], enc.slices[0][3]); // compensating swap.
+    auto enc = encodeRows(lot, line);
+    std::swap(enc[1], enc[3]); // compensating swap in device 0.
     EXPECT_EQ(lot.decode(enc).status, DecodeStatus::Clean);
-    EXPECT_NE(lot.extract(enc), line);
+    EXPECT_NE(extract(lot, enc), line);
 }
 
 } // namespace

@@ -74,10 +74,8 @@ TEST(CodecRegistry, MakeRoundTripsEveryBuiltin)
         DeviceSlices slices;
         codec->encodeInto(data, slices, ws);
         EXPECT_EQ(slices.size(),
-                  static_cast<std::size_t>(codec->devices()));
-        for (const auto &s : slices)
-            EXPECT_EQ(s.size(),
-                      static_cast<std::size_t>(codec->sliceBytes()));
+                  static_cast<std::size_t>(codec->devices()) *
+                      codec->sliceBytes());
         std::vector<std::uint8_t> out(codec->dataBytes());
         DecodeResult dec;
         codec->decodeInto(slices, out, {}, ws, dec);
@@ -164,11 +162,11 @@ TEST(SecdedLineCodec, LayoutMatchesNineDeviceDimm)
     for (int w = 0; w < 8; ++w) {
         std::uint64_t word = 0;
         for (int d = 0; d < 8; ++d) {
-            EXPECT_EQ(slices[d][w], data[w * 8 + d]);
+            EXPECT_EQ(slices[d * 8 + w], data[w * 8 + d]);
             word |= static_cast<std::uint64_t>(data[w * 8 + d])
                     << (8 * d);
         }
-        EXPECT_EQ(slices[8][w], Secded::encode(word));
+        EXPECT_EQ(slices[8 * 8 + w], Secded::encode(word));
     }
 }
 
@@ -186,7 +184,7 @@ TEST(SecdedLineCodec, CorrectsSingleBitPerWordEverywhere)
     DeviceSlices slices;
     codec.encodeInto(data, slices, ws);
     for (int w = 0; w < 8; ++w)
-        slices[w][w] ^= static_cast<std::uint8_t>(1 << (w % 8));
+        slices[w * 8 + w] ^= static_cast<std::uint8_t>(1 << (w % 8));
     std::vector<std::uint8_t> out(64);
     DecodeResult dec;
     codec.decodeInto(slices, out, {}, ws, dec);
@@ -210,7 +208,7 @@ TEST(SecdedLineCodec, WholeDeviceFailureIsNotChipkill)
     DeviceSlices slices;
     codec.encodeInto(data, slices, ws);
     for (int w = 0; w < 8; ++w)
-        slices[3][w] ^= 0x21; // Two bits of device 3 in every word.
+        slices[3 * 8 + w] ^= 0x21; // Two bits of device 3, every word.
     std::vector<std::uint8_t> out(64);
     DecodeResult dec;
     codec.decodeInto(slices, out, {}, ws, dec);
@@ -226,7 +224,7 @@ TEST(SecdedLineCodec, CheckDevicePositionsEncodeWordAndBit)
     codec.encodeInto(data, slices, ws);
     // Flip the overall-parity bit of word 5 (check bit 7 is Hamming
     // position 72 == the parity bit).
-    slices[8][5] ^= 0x80;
+    slices[8 * 8 + 5] ^= 0x80;
     std::vector<std::uint8_t> out(64);
     DecodeResult dec;
     codec.decodeInto(slices, out, {}, ws, dec);
@@ -270,7 +268,8 @@ TEST(BchLineCodec, CorrectsScatteredBitErrorsAcrossDevices)
     // Four single-bit errors on four different devices: beyond any
     // per-device scheme's view, routine for t=4 BCH.
     for (int d = 0; d < 4; ++d)
-        slices[d * 4][0] ^= static_cast<std::uint8_t>(1 << d);
+        slices[d * 4 * codec->sliceBytes()] ^=
+            static_cast<std::uint8_t>(1 << d);
     std::vector<std::uint8_t> out(codec->dataBytes());
     DecodeResult dec;
     codec->decodeInto(slices, out, {}, ws, dec);
@@ -290,7 +289,7 @@ TEST(BchLineCodec, WritesCorrectionsBackToSlices)
     DeviceSlices slices;
     codec->encodeInto(data, slices, ws);
     const DeviceSlices clean = slices;
-    slices[7][1] ^= 0x10;
+    slices[7 * codec->sliceBytes() + 1] ^= 0x10;
     std::vector<std::uint8_t> out(codec->dataBytes());
     DecodeResult dec;
     codec->decodeInto(slices, out, {}, ws, dec);

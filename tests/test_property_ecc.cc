@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -142,10 +143,20 @@ injectErrors(Rng &rng, std::vector<std::uint8_t> &word, int numErrors)
     return pos;
 }
 
+/** True when every syndrome of word is zero. */
+bool
+syndromesZero(const ReedSolomon &rs, std::span<const std::uint8_t> word)
+{
+    std::uint8_t synd[RsWorkspace::kMaxChecks];
+    return !rs.computeSyndromes(word,
+                                std::span<std::uint8_t>(synd, rs.r()));
+}
+
 TEST(ReedSolomonProperty, RandomCodewordsRoundTripUnderTErrors)
 {
     for (const RsShape &shape : kShapes) {
         ReedSolomon rs(shape.n, shape.k);
+        RsWorkspace ws;
         const int t = rs.r() / 2;
         for (std::uint64_t it = 0; it < 48; ++it) {
             std::uint64_t seed =
@@ -160,13 +171,13 @@ TEST(ReedSolomonProperty, RandomCodewordsRoundTripUnderTErrors)
                 word[i] = static_cast<std::uint8_t>(rng.below(256));
             rs.encode(word);
             std::vector<std::uint8_t> original = word;
-            EXPECT_TRUE(rs.syndromesZero(word));
+            EXPECT_TRUE(syndromesZero(rs, word));
 
             // Up to t symbol errors must decode back exactly.
             int e = static_cast<int>(rng.range(0, t));
             injectErrors(rng, word, e);
 
-            DecodeResult res = rs.decode(word);
+            RsDecodeView res = rs.decode(word, ws);
             EXPECT_TRUE(res.ok());
             EXPECT_EQ(res.symbolsCorrected, e);
             EXPECT_EQ(word, original);
@@ -178,6 +189,7 @@ TEST(ReedSolomonProperty, ErrorsAndErasuresWithinTwoEPlusFRoundTrip)
 {
     for (const RsShape &shape : kShapes) {
         ReedSolomon rs(shape.n, shape.k);
+        RsWorkspace ws;
         for (std::uint64_t it = 0; it < 32; ++it) {
             std::uint64_t seed =
                 caseSeed(0x50000 + (shape.n << 8) + it);
@@ -201,7 +213,7 @@ TEST(ReedSolomonProperty, ErrorsAndErasuresWithinTwoEPlusFRoundTrip)
                                       corrupted.begin() + f);
             std::sort(erasures.begin(), erasures.end());
 
-            DecodeResult res = rs.decode(word, -1, erasures);
+            RsDecodeView res = rs.decode(word, ws, -1, erasures);
             EXPECT_TRUE(res.ok());
             EXPECT_EQ(word, original);
         }
@@ -217,6 +229,7 @@ TEST(ReedSolomonProperty, BeyondCapabilityNeverSilentlyCorruptsData)
     // really be a codeword.
     for (const RsShape &shape : kShapes) {
         ReedSolomon rs(shape.n, shape.k);
+        RsWorkspace ws;
         const int t = rs.r() / 2;
         for (std::uint64_t it = 0; it < 32; ++it) {
             std::uint64_t seed =
@@ -233,9 +246,9 @@ TEST(ReedSolomonProperty, BeyondCapabilityNeverSilentlyCorruptsData)
             int e = static_cast<int>(rng.range(t + 1, rs.r()));
             injectErrors(rng, word, e);
 
-            DecodeResult res = rs.decode(word);
+            RsDecodeView res = rs.decode(word, ws);
             if (res.status != DecodeStatus::Detected) {
-                EXPECT_TRUE(rs.syndromesZero(word))
+                EXPECT_TRUE(syndromesZero(rs, word))
                     << "decoder claimed success on a non-codeword";
             }
         }
@@ -247,6 +260,7 @@ TEST(ReedSolomonProperty, FailingSeedReproducesTheSameOutcome)
     // The reproduction contract itself: re-running a case from its
     // logged seed gives the identical decode outcome.
     ReedSolomon rs(18, 16);
+    RsWorkspace ws;
     for (std::uint64_t it = 0; it < 8; ++it) {
         std::uint64_t seed = caseSeed(0xd0000 + it);
         SCOPED_TRACE("seed=" + std::to_string(seed));
@@ -258,7 +272,7 @@ TEST(ReedSolomonProperty, FailingSeedReproducesTheSameOutcome)
                 word[i] = static_cast<std::uint8_t>(rng.below(256));
             rs.encode(word);
             injectErrors(rng, word, 3); // beyond capability.
-            DecodeResult res = rs.decode(word, 1);
+            RsDecodeView res = rs.decode(word, ws, 1);
             return std::make_pair(res.status, word);
         };
         auto first = run(seed);

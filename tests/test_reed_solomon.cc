@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/rng.hh"
@@ -25,6 +26,14 @@ randomCodeword(const ReedSolomon &rs, Rng &rng)
         w[i] = static_cast<std::uint8_t>(rng.below(256));
     rs.encode(w);
     return w;
+}
+
+/** True when every syndrome of w is zero. */
+bool
+syndromesZero(const ReedSolomon &rs, std::span<const std::uint8_t> w)
+{
+    std::uint8_t synd[RsWorkspace::kMaxChecks];
+    return !rs.computeSyndromes(w, std::span<std::uint8_t>(synd, rs.r()));
 }
 
 /** Inject `count` errors at distinct random positions. */
@@ -52,7 +61,7 @@ TEST(ReedSolomon, EncodedWordHasZeroSyndromes)
         ReedSolomon rs(n, k);
         for (int t = 0; t < 50; ++t) {
             auto w = randomCodeword(rs, rng);
-            EXPECT_TRUE(rs.syndromesZero(w));
+            EXPECT_TRUE(syndromesZero(rs, w));
         }
     }
 }
@@ -61,9 +70,10 @@ TEST(ReedSolomon, CleanDecodeLeavesDataIntact)
 {
     Rng rng(2);
     ReedSolomon rs(18, 16);
+    RsWorkspace ws;
     auto w = randomCodeword(rs, rng);
     auto orig = w;
-    DecodeResult res = rs.decode(w);
+    RsDecodeView res = rs.decode(w, ws);
     EXPECT_EQ(res.status, DecodeStatus::Clean);
     EXPECT_EQ(w, orig);
 }
@@ -87,7 +97,7 @@ TEST(ReedSolomon, AllZeroIsACodeword)
     rs.encode(w);
     for (auto b : w)
         EXPECT_EQ(b, 0);
-    EXPECT_TRUE(rs.syndromesZero(w));
+    EXPECT_TRUE(syndromesZero(rs, w));
 }
 
 // --- parameterized correction sweeps ---------------------------------
@@ -108,6 +118,7 @@ TEST_P(RsSweep, ErrorsAndErasuresWithinCapabilityAlwaysCorrect)
 {
     const RsCase &c = GetParam();
     ReedSolomon rs(c.n, c.k);
+    RsWorkspace ws;
     Rng rng(100 + c.n * 1000 + c.errors * 10 + c.erasures);
 
     int trials = 200;
@@ -134,7 +145,7 @@ TEST_P(RsSweep, ErrorsAndErasuresWithinCapabilityAlwaysCorrect)
         for (int p : erasure_pos)
             w[p] = static_cast<std::uint8_t>(rng.below(256));
 
-        DecodeResult res = rs.decode(w, -1, erasure_pos);
+        RsDecodeView res = rs.decode(w, ws, -1, erasure_pos);
         if (c.correctable) {
             EXPECT_NE(res.status, DecodeStatus::Detected)
                 << "n=" << c.n << " e=" << c.errors
@@ -147,7 +158,7 @@ TEST_P(RsSweep, ErrorsAndErasuresWithinCapabilityAlwaysCorrect)
             // *valid* codeword.
             EXPECT_NE(res.status, DecodeStatus::Clean);
             if (res.status == DecodeStatus::Corrected) {
-                EXPECT_TRUE(rs.syndromesZero(w));
+                EXPECT_TRUE(syndromesZero(rs, w));
             }
         }
     }
@@ -206,11 +217,12 @@ TEST(ReedSolomon, SccdcdDecodeDetectsDoubleErrors)
     // 2-symbol error (d = 5 guarantees it; weight-2 errors are at
     // distance >= 3 from every other codeword).
     ReedSolomon rs(36, 32);
+    RsWorkspace ws;
     Rng rng(42);
     for (int t = 0; t < 500; ++t) {
         auto w = randomCodeword(rs, rng);
         injectErrors(w, 2, rng);
-        DecodeResult res = rs.decode(w, /*maxCorrect=*/1);
+        RsDecodeView res = rs.decode(w, ws, /*maxCorrect=*/1);
         EXPECT_EQ(res.status, DecodeStatus::Detected);
     }
 }
@@ -220,12 +232,13 @@ TEST(ReedSolomon, SccdcdDecodeDetectsTripleErrors)
     // With radius-1 decoding of a d=5 code, weight-3 errors are still
     // never inside another codeword's sphere: guaranteed detection.
     ReedSolomon rs(36, 32);
+    RsWorkspace ws;
     Rng rng(43);
     for (int t = 0; t < 500; ++t) {
         auto w = randomCodeword(rs, rng);
         auto orig = w;
         injectErrors(w, 3, rng);
-        DecodeResult res = rs.decode(w, 1);
+        RsDecodeView res = rs.decode(w, ws, 1);
         EXPECT_EQ(res.status, DecodeStatus::Detected);
         (void)orig;
     }
@@ -239,6 +252,7 @@ TEST(ReedSolomon, RelaxedDoubleErrorNeverSilentlyCorrupts)
     // symbol -- count the miscorrection rate and sanity-check it is a
     // small minority, in line with n/q reasoning (~7% for n=18).
     ReedSolomon rs(18, 16);
+    RsWorkspace ws;
     Rng rng(44);
     int miscorrect = 0, detected = 0;
     const int trials = 3000;
@@ -246,7 +260,7 @@ TEST(ReedSolomon, RelaxedDoubleErrorNeverSilentlyCorrupts)
         auto w = randomCodeword(rs, rng);
         auto orig = w;
         injectErrors(w, 2, rng);
-        DecodeResult res = rs.decode(w, 1);
+        RsDecodeView res = rs.decode(w, ws, 1);
         if (res.status == DecodeStatus::Detected)
             ++detected;
         else if (w != orig)
@@ -260,6 +274,7 @@ TEST(ReedSolomon, RelaxedDoubleErrorNeverSilentlyCorrupts)
 TEST(ReedSolomon, MaxCorrectLimitsCorrectionNotDetection)
 {
     ReedSolomon rs(36, 32);
+    RsWorkspace ws;
     Rng rng(45);
     for (int t = 0; t < 200; ++t) {
         auto w = randomCodeword(rs, rng);
@@ -267,22 +282,23 @@ TEST(ReedSolomon, MaxCorrectLimitsCorrectionNotDetection)
         injectErrors(w, 2, rng);
         // Full capability corrects it ...
         auto w2 = w;
-        EXPECT_EQ(rs.decode(w2, 2).status, DecodeStatus::Corrected);
+        EXPECT_EQ(rs.decode(w2, ws, 2).status, DecodeStatus::Corrected);
         EXPECT_EQ(w2, orig);
         // ... capped capability flags it instead.
-        EXPECT_EQ(rs.decode(w, 1).status, DecodeStatus::Detected);
+        EXPECT_EQ(rs.decode(w, ws, 1).status, DecodeStatus::Detected);
     }
 }
 
 TEST(ReedSolomon, DetectedLeavesWordUnmodified)
 {
     ReedSolomon rs(36, 32);
+    RsWorkspace ws;
     Rng rng(46);
     for (int t = 0; t < 300; ++t) {
         auto w = randomCodeword(rs, rng);
         injectErrors(w, 3, rng);
         auto corrupted = w;
-        DecodeResult res = rs.decode(w, 1);
+        RsDecodeView res = rs.decode(w, ws, 1);
         ASSERT_EQ(res.status, DecodeStatus::Detected);
         EXPECT_EQ(w, corrupted) << "DUE must not half-correct";
     }
@@ -293,6 +309,7 @@ TEST(ReedSolomon, ErasedDeviceWithSecondErrorCorrects)
     // Double chip sparing after remap: one erased (diagnosed) symbol
     // plus one new error, 2*1 + 1 <= 4.
     ReedSolomon rs(36, 32);
+    RsWorkspace ws;
     Rng rng(47);
     for (int t = 0; t < 300; ++t) {
         auto w = randomCodeword(rs, rng);
@@ -305,7 +322,7 @@ TEST(ReedSolomon, ErasedDeviceWithSecondErrorCorrects)
         } while (err == erased);
         w[err] ^= static_cast<std::uint8_t>(rng.range(1, 255));
         std::vector<int> erasures = {erased};
-        DecodeResult res = rs.decode(w, -1, erasures);
+        RsDecodeView res = rs.decode(w, ws, -1, erasures);
         EXPECT_NE(res.status, DecodeStatus::Detected);
         EXPECT_EQ(w, orig);
     }

@@ -29,6 +29,7 @@ randomData(Rng &rng, int n)
 TEST(DecodeWithSyndromes, MatchesPlainDecodeForInlineSyndromes)
 {
     ReedSolomon rs(36, 32);
+    RsWorkspace ws;
     Rng rng(1);
     for (int t = 0; t < 200; ++t) {
         std::vector<std::uint8_t> w(36);
@@ -40,7 +41,7 @@ TEST(DecodeWithSyndromes, MatchesPlainDecodeForInlineSyndromes)
         std::vector<std::uint8_t> synd(4);
         for (int j = 0; j < 4; ++j)
             synd[j] = rs.evalAt(w, j);
-        auto res = rs.decodeWithSyndromes(w, synd, 1);
+        auto res = rs.decodeWithSyndromes(w, synd, ws, 1);
         EXPECT_EQ(res.status, DecodeStatus::Corrected);
         EXPECT_EQ(w, orig);
     }
@@ -51,6 +52,7 @@ TEST(DecodeWithSyndromes, VirtualisedChecksExtendTheCapability)
     // RS(18,16) alone cannot reliably handle two bad symbols; with two
     // virtualised evaluations (alpha^2, alpha^3) it corrects them.
     ReedSolomon rs(18, 16);
+    RsWorkspace ws;
     Rng rng(2);
     for (int t = 0; t < 300; ++t) {
         std::vector<std::uint8_t> w(18);
@@ -73,7 +75,7 @@ TEST(DecodeWithSyndromes, VirtualisedChecksExtendTheCapability)
         synd[1] = rs.evalAt(w, 1);
         synd[2] = GF256::add(rs.evalAt(w, 2), t2[0]);
         synd[3] = GF256::add(rs.evalAt(w, 3), t2[1]);
-        auto res = rs.decodeWithSyndromes(w, synd, 2);
+        auto res = rs.decodeWithSyndromes(w, synd, ws, 2);
         EXPECT_EQ(res.status, DecodeStatus::Corrected);
         EXPECT_EQ(w, orig);
     }
@@ -82,9 +84,10 @@ TEST(DecodeWithSyndromes, VirtualisedChecksExtendTheCapability)
 TEST(DecodeWithSyndromes, AllZeroSyndromesIsClean)
 {
     ReedSolomon rs(18, 16);
+    RsWorkspace ws;
     std::vector<std::uint8_t> w(18, 0);
     std::vector<std::uint8_t> synd(4, 0);
-    EXPECT_EQ(rs.decodeWithSyndromes(w, synd).status,
+    EXPECT_EQ(rs.decodeWithSyndromes(w, synd, ws).status,
               DecodeStatus::Clean);
 }
 
