@@ -100,7 +100,7 @@ main(int argc, char **argv)
               PageUpgradeOracle::kScenarioNames);
     const PageUpgradeOracle oracle =
         fraction >= 0.0
-            ? PageUpgradeOracle::forFraction(fraction, cfg.mem)
+            ? PageUpgradeOracle::forFraction(fraction)
             : PageUpgradeOracle::forScenario(*scenario, cfg.mem);
 
     SimResult res;

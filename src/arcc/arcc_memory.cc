@@ -6,6 +6,7 @@
 #include "arcc/arcc_memory.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -412,6 +413,22 @@ ArccMemory::erasedInto(std::uint64_t group_base, PageMode mode,
     });
 }
 
+namespace
+{
+
+/** Count one decoded group into the read counters. */
+void
+countGroupRead(MemoryStats &stats, int devices, const ReadResult &r)
+{
+    stats.deviceReads += devices;
+    if (r.status == DecodeStatus::Corrected)
+        stats.corrected += r.symbolsCorrected;
+    if (r.status == DecodeStatus::Detected)
+        ++stats.dues;
+}
+
+} // anonymous namespace
+
 void
 ArccMemory::decodeSlicesInto(DeviceSlices &slices, PageMode mode,
                              std::span<const int> erased,
@@ -423,11 +440,7 @@ ArccMemory::decodeSlicesInto(DeviceSlices &slices, PageMode mode,
     codec.decodeInto(slices, out.data, erased, ws, ws.dec);
     out.status = ws.dec.status;
     out.symbolsCorrected = ws.dec.symbolsCorrected;
-    stats.deviceReads += codec.devices();
-    if (ws.dec.status == DecodeStatus::Corrected)
-        stats.corrected += ws.dec.symbolsCorrected;
-    if (ws.dec.status == DecodeStatus::Detected)
-        ++stats.dues;
+    countGroupRead(stats, codec.devices(), out);
 }
 
 void
@@ -517,8 +530,9 @@ ArccMemory::accessBatch(std::span<const std::uint64_t> addrs,
             static_cast<std::uint32_t>(ws.groups.size() - 1);
     }
 
-    // Pass 2: screen runs of groups through the SoA kernel; only the
-    // lanes it flags (plus LOT / erasure groups) pay a full decode.
+    // Pass 2: decode runs of groups in one SoA block each; only the
+    // lanes the vector screen flags (plus LOT / erasure groups) pay a
+    // scalar decode.
     screenStagedGroups(stats, ws);
 
     // Pass 3: per-address line extraction from the decoded groups.
@@ -530,33 +544,22 @@ ArccMemory::accessBatch(std::span<const std::uint64_t> addrs,
 }
 
 void
-ArccMemory::decodeStagedGroup(std::size_t g, MemoryStats &stats,
-                              MemoryWorkspace &ws)
-{
-    const MemoryWorkspace::StagedGroup &sg = ws.groups[g];
-    // A group the screen flagged has no erased device: it would have
-    // been staged slow otherwise.
-    if (sg.slow)
-        erasedInto(sg.base, sg.mode, ws.line.erased);
-    else
-        ws.line.erased.clear();
-    decodeSlicesInto(ws.groupSlices[g], sg.mode, ws.line.erased, stats,
-                     ws.line, ws.groupWhole[g]);
-}
-
-void
 ArccMemory::screenStagedGroups(MemoryStats &stats, MemoryWorkspace &ws)
 {
     RsWorkspace &rws = ws.line.rs;
     constexpr std::size_t kLanes = RsWorkspace::kSoaLanes;
+    std::array<RsLaneResult, kLanes> lane;
     std::size_t g = 0;
     while (g < ws.groups.size()) {
-        if (ws.groups[g].slow) {
-            decodeStagedGroup(g, stats, ws);
+        const MemoryWorkspace::StagedGroup &sg = ws.groups[g];
+        if (sg.slow) {
+            erasedInto(sg.base, sg.mode, ws.line.erased);
+            decodeSlicesInto(ws.groupSlices[g], sg.mode, ws.line.erased,
+                             stats, ws.line, ws.groupWhole[g]);
             ++g;
             continue;
         }
-        const PageMode mode = ws.groups[g].mode;
+        const PageMode mode = sg.mode;
         const LineCodec &codec = codecFor(mode);
         const ReedSolomon &rs = *codec.soaCodec();
         const int cw = codec.sliceBytes(); // codewords per group.
@@ -581,35 +584,39 @@ ArccMemory::screenStagedGroups(MemoryStats &stats, MemoryWorkspace &ws)
             ++h;
         }
 
-        rs.computeSyndromesSoa(rws.soa.data(), kLanes, lanes,
-                               rws.syndSoa.data(),
-                               rws.soaFlags.data());
+        // Screen the run and decode the lanes it flags in the block.
+        rs.decodeSoa(rws.soa.data(), kLanes, lanes, rws,
+                     codec.traits().correct, {}, lane.data());
 
+        // Fold each group's lanes as RsLineCodec::decodeInto folds its
+        // codewords: any DUE marks the group, and a DUE codeword's
+        // data reads as zero.
+        const int k = rs.k();
         int lane0 = 0;
         for (std::size_t x = g; x < h; ++x, lane0 += cw) {
-            bool flagged = false;
-            for (int c = 0; c < cw; ++c)
-                flagged = flagged || rws.soaFlags[lane0 + c] != 0;
-            if (flagged) {
-                // Same full pipeline (and stats) the serial path
-                // runs; the screen cost is sunk but tiny.
-                decodeStagedGroup(x, stats, ws);
-                continue;
-            }
-            // Clean group -- the overwhelmingly common case: extract
-            // the data symbols straight from the gathered slices,
-            // exactly what decodeInto writes when every codeword is
-            // clean.
-            const DeviceSlices &sl = ws.groupSlices[x];
             ReadResult &out = ws.groupWhole[x];
             out.status = DecodeStatus::Clean;
             out.symbolsCorrected = 0;
             out.data.resize(codec.dataBytes());
-            const int k = rs.k();
-            for (int c = 0; c < cw; ++c)
+            for (int c = 0; c < cw; ++c) {
+                const RsLaneResult &res = lane[lane0 + c];
+                std::uint8_t *data = out.data.data() + c * k;
+                if (res.status == DecodeStatus::Detected) {
+                    out.status = DecodeStatus::Detected;
+                    std::memset(data, 0, k);
+                    continue;
+                }
+                if (res.status == DecodeStatus::Corrected) {
+                    if (out.status != DecodeStatus::Detected)
+                        out.status = DecodeStatus::Corrected;
+                    out.symbolsCorrected += res.symbolsCorrected;
+                }
                 for (int s = 0; s < k; ++s)
-                    out.data[c * k + s] = sl[s * cw + c];
-            stats.deviceReads += dev;
+                    data[s] = rws.soa[static_cast<std::size_t>(s) *
+                                          kLanes +
+                                      lane0 + c];
+            }
+            countGroupRead(stats, dev, out);
         }
         g = h;
     }

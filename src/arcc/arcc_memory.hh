@@ -152,7 +152,7 @@ struct MemoryWorkspace
     // ----- batch staging (ArccMemory::accessBatch) -------------------
     //
     // The batched read gathers every distinct group of the address
-    // stream up front, SoA-screens runs of them per pass (see
+    // stream up front, decodes runs of them per SoA block (see
     // accessBatch), and extracts lines at the end.  All capacity is
     // reused across batches, so a steady-state sweep allocates
     // nothing after its first page.
@@ -162,8 +162,8 @@ struct MemoryWorkspace
     {
         std::uint64_t base;
         PageMode mode;
-        /** Needs the scalar per-group decode (LOT wire format or
-         *  erased devices) instead of the SoA screen. */
+        /** Needs the per-group codec decode (LOT wire format or
+         *  erased devices) instead of the SoA block decode. */
         bool slow;
     };
     std::vector<StagedGroup> groups;
@@ -409,13 +409,11 @@ class ArccMemory
                           std::span<const int> erased, MemoryStats &stats,
                           LineWorkspace &ws, ReadResult &out) const;
 
-    /** Pass 2 of accessBatch: SoA-screen runs of staged groups at
-     *  the active SIMD tier, decode flagged / slow ones. */
+    /** Pass 2 of accessBatch: decode runs of staged RS groups
+     *  through ReedSolomon::decodeSoa (the SoA screen at the active
+     *  SIMD tier, then the flagged lanes), and slow groups one at a
+     *  time through their codec; stats as readGroupInto. */
     void screenStagedGroups(MemoryStats &stats, MemoryWorkspace &ws);
-
-    /** Full scalar decode of staged group g (stats as readGroupInto). */
-    void decodeStagedGroup(std::size_t g, MemoryStats &stats,
-                           MemoryWorkspace &ws);
 
     /** Slice one 64B line out of a decoded group's result, reusing
      *  the buffer of `out`. */

@@ -56,19 +56,19 @@ RsLineCodec::encodeInto(std::span<const std::uint8_t> data,
                         DeviceSlices &out, LineWorkspace &ws) const
 {
     ARCC_ASSERT(data.size() == static_cast<std::size_t>(dataBytes_));
-    const int n = rs_.n();
+    (void)ws; // The LFSR chains run in registers.
     const int k = rs_.k();
-    out.resize(static_cast<std::size_t>(n) * codewords_);
+    const int cw = codewords_;
+    out.resize(static_cast<std::size_t>(rs_.n()) * cw);
 
-    const std::span<std::uint8_t> word(ws.rs.word.data(),
-                                       static_cast<std::size_t>(n));
-    for (int c = 0; c < codewords_; ++c) {
+    // Device rows are SoA symbol rows: transpose the data into rows
+    // [0, k) and encode every codeword of the line at once.  (Locals,
+    // not members, so the byte stores cannot force reloads.)
+    std::uint8_t *rows = out.data();
+    for (int c = 0; c < cw; ++c)
         for (int s = 0; s < k; ++s)
-            word[s] = data[c * k + s];
-        rs_.encode(word);
-        for (int d = 0; d < n; ++d)
-            out[d * codewords_ + c] = word[d];
-    }
+            rows[s * cw + c] = data[c * k + s];
+    rs_.encodeSoa(rows, cw, cw);
 }
 
 void

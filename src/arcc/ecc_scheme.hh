@@ -146,8 +146,9 @@ class LineCodec
      * When non-null, the device rows double as SoA symbol rows --
      * byte d * sliceBytes() + c is symbol d of codeword c -- so a
      * batch reader can stage whole groups into an RsWorkspace SoA
-     * block with row memcpys and screen them through
-     * ReedSolomon::computeSyndromesSoa (see ArccMemory::accessBatch).
+     * block with row memcpys and decode them through
+     * ReedSolomon::decodeSoa with maxCorrect = traits().correct,
+     * exactly as decodeInto would (see ArccMemory::accessBatch).
      */
     virtual const ReedSolomon *soaCodec() const { return nullptr; }
 

@@ -71,13 +71,13 @@ PageUpgradeOracle::forScenario(Scenario s, const MemoryConfig &config)
 }
 
 PageUpgradeOracle
-PageUpgradeOracle::forFraction(double fraction, const MemoryConfig &config)
+PageUpgradeOracle::forFraction(double fraction)
 {
+    // A page hash, not an address decode: no map.
     PageUpgradeOracle o;
     o.scenario_ = Scenario::Fraction;
     o.fraction_ = fraction;
     o.expected_ = fraction;
-    (void)config; // A page hash, not an address decode: no map.
     return o;
 }
 

@@ -91,13 +91,11 @@ class PageUpgradeOracle
                                          const MemoryConfig &config);
 
     /**
-     * Pseudo-random pages upgraded at the given fraction.
+     * Pseudo-random pages upgraded at the given fraction: pages are
+     * hashed by address, so no memory geometry is involved.
      * @param fraction expected fraction of pages upgraded, in [0, 1].
-     * @param config   memory geometry (unread: pages are hashed by
-     *                 address, not decoded).
      */
-    static PageUpgradeOracle forFraction(double fraction,
-                                         const MemoryConfig &config);
+    static PageUpgradeOracle forFraction(double fraction);
 
     /** @return true when addr's page operates in upgraded mode. */
     bool upgraded(std::uint64_t addr) const;

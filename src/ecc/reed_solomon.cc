@@ -17,7 +17,11 @@
  *    hoist one 256-byte MulRow per fixed multiplicand;
  *  - encode for r <= 8 is a byte-at-a-time LFSR: the remainder lives
  *    packed in one uint64_t and each data symbol xors in one entry
- *    of a 256-entry table of scaled generators;
+ *    of a 256-entry table of scaled generators; a line's codewords
+ *    run as interleaved chains (encodeSoa);
+ *  - a single bad symbol is located and corrected in closed form
+ *    from the syndrome ratio, which is what Berlekamp-Massey, Chien
+ *    and Forney compute for it;
  *  - all scratch lives in the caller's RsWorkspace -- no heap traffic
  *    anywhere on the encode / syndrome / decode paths;
  *  - syndrome Horner chains are interleaved across j, so the r
@@ -172,12 +176,15 @@ ReedSolomon::ReedSolomon(int n, int k)
                            GF256::kOrder;
     }
 
-    // Locators X_i = alpha^(n-1-i) and their inverses, per position.
+    // Locators X_i = alpha^(n-1-i) and their inverses, per position,
+    // and the reverse map from a locator to its position.
     xAt_.resize(n_);
     xInvAt_.resize(n_);
+    posOfX_.fill(-1);
     for (int i = 0; i < n_; ++i) {
         xAt_[i] = GF256::alphaPow(n_ - 1 - i);
         xInvAt_[i] = GF256::inv(xAt_[i]);
+        posOfX_[xAt_[i]] = static_cast<std::int16_t>(i);
     }
 
     // Incremental Chien tables: scanning positions i = 0, 1, ... puts
@@ -203,48 +210,89 @@ ReedSolomon::ReedSolomon(int n, int k)
     }
 }
 
+namespace
+{
+
+/**
+ * The packed-remainder LFSR of W lanes of an SoA block at once (see
+ * ReedSolomon::encodeSoa).  Each lane is a serial load-shift-xor
+ * chain; W independent chains in flight overlap their table loads.
+ */
+template <int W>
+void
+packedLfsr(const std::uint64_t *table, std::uint8_t *soa,
+           std::size_t stride, int k, int rr)
+{
+    // The remainder's coefficient j lives in byte j of packed[l]: the
+    // shift is one right shift (bytes >= rr stay zero) and the scaled
+    // generator one table entry.
+    std::uint64_t packed[W] = {};
+    for (int i = 0; i < k; ++i) {
+        const std::uint8_t *row = soa + static_cast<std::size_t>(i) * stride;
+        for (int l = 0; l < W; ++l)
+            packed[l] = (packed[l] >> 8) ^
+                        table[row[l] ^ static_cast<std::uint8_t>(packed[l])];
+    }
+    for (int j = 0; j < rr; ++j) {
+        std::uint8_t *row = soa + static_cast<std::size_t>(k + j) * stride;
+        for (int l = 0; l < W; ++l)
+            row[l] = static_cast<std::uint8_t>(packed[l] >> (8 * j));
+    }
+}
+
+} // anonymous namespace
+
 void
 ReedSolomon::encode(std::span<std::uint8_t> codeword) const
 {
     ARCC_ASSERT(codeword.size() >= static_cast<std::size_t>(n_));
+    encodeSoa(codeword.data(), 1, 1);
+}
+
+void
+ReedSolomon::encodeSoa(std::uint8_t *soa, std::size_t stride,
+                       int lanes) const
+{
+    ARCC_ASSERT(lanes > 0 && static_cast<std::size_t>(lanes) <= stride);
 
     // Polynomial long division of d(x) * x^r by g(x); the remainder is
     // the parity.  Work in the "high power first" view, which matches
     // the array order directly.
     const int rr = r();
     if (!remTable_.empty()) {
-        // The loop below with rem[j] packed into byte j: the shift is
-        // one right shift (bytes >= rr stay zero) and the scaled
-        // generator one table entry.
         const std::uint64_t *table = remTable_.data();
-        std::uint64_t packed = 0;
-        for (int i = 0; i < k_; ++i)
-            packed = (packed >> 8) ^
-                     table[codeword[i] ^ static_cast<std::uint8_t>(packed)];
-        for (int j = 0; j < rr; ++j)
-            codeword[k_ + j] = static_cast<std::uint8_t>(packed >> (8 * j));
+        int l = 0;
+        for (; l + 4 <= lanes; l += 4)
+            packedLfsr<4>(table, soa + l, stride, k_, rr);
+        switch (lanes - l) {
+          case 3: packedLfsr<3>(table, soa + l, stride, k_, rr); break;
+          case 2: packedLfsr<2>(table, soa + l, stride, k_, rr); break;
+          case 1: packedLfsr<1>(table, soa + l, stride, k_, rr); break;
+        }
         return;
     }
-    std::uint8_t rem[RsWorkspace::kMaxChecks];
-    std::memset(rem, 0, rr);
-    for (int i = 0; i < k_; ++i) {
-        const std::uint8_t coef = codeword[i] ^ rem[0];
-        // Shift the remainder left by one position (a plain loop: rr
-        // is single digits for every codec in use, so a memmove call
-        // would cost more than the shift).
-        for (int j = 0; j < rr - 1; ++j)
-            rem[j] = rem[j + 1];
-        rem[rr - 1] = 0;
-        if (coef != 0) {
-            // Subtract coef * g(x); g is monic so the leading term
-            // cancels with the shifted-out coefficient.
-            const GF256::MulRow row = GF256::mulRow(coef);
-            for (int j = 0; j < rr; ++j)
-                rem[j] ^= row(genHigh_[j]);
+    // Longer codes keep the per-coefficient loop, one lane at a time.
+    for (int l = 0; l < lanes; ++l) {
+        std::uint8_t rem[RsWorkspace::kMaxChecks];
+        std::memset(rem, 0, rr);
+        for (int i = 0; i < k_; ++i) {
+            const std::uint8_t coef =
+                soa[static_cast<std::size_t>(i) * stride + l] ^ rem[0];
+            // Shift the remainder left by one position.
+            for (int j = 0; j < rr - 1; ++j)
+                rem[j] = rem[j + 1];
+            rem[rr - 1] = 0;
+            if (coef != 0) {
+                // Subtract coef * g(x); g is monic so the leading term
+                // cancels with the shifted-out coefficient.
+                const GF256::MulRow row = GF256::mulRow(coef);
+                for (int j = 0; j < rr; ++j)
+                    rem[j] ^= row(genHigh_[j]);
+            }
         }
+        for (int j = 0; j < rr; ++j)
+            soa[static_cast<std::size_t>(k_ + j) * stride + l] = rem[j];
     }
-    for (int j = 0; j < rr; ++j)
-        codeword[k_ + j] = rem[j];
 }
 
 bool
@@ -327,6 +375,32 @@ ReedSolomon::decodeCore(std::span<std::uint8_t> codeword,
         res.status = DecodeStatus::Detected;
         return res;
     }
+    const int e_cap = (rr - f) / 2;
+    const int allowed =
+        maxCorrect < 0 ? e_cap : std::min(maxCorrect, e_cap);
+
+    // Closed form for one bad symbol: S_j = S_0 * X^j with X = S_1 / S_0
+    // the locator of a position of this code.  That is the pipeline's
+    // own result for these syndromes -- Berlekamp-Massey gives
+    // Lambda = 1 + X x, Chien its one root, Forney the magnitude S_0,
+    // and the safety check holds by construction -- reached without
+    // building a polynomial.
+    if (f == 0 && allowed >= 1 && synd[0] != 0) {
+        const std::uint8_t x = GF256::div(synd[1], synd[0]);
+        const GF256::MulRow row = GF256::mulRow(x);
+        bool single = posOfX_[x] >= 0;
+        for (int j = 1; single && j + 1 < rr; ++j)
+            single = row(synd[j]) == synd[j + 1];
+        if (single) {
+            const int pos = posOfX_[x];
+            codeword[pos] ^= synd[0];
+            ws.positions[0] = pos;
+            res.status = DecodeStatus::Corrected;
+            res.symbolsCorrected = 1;
+            res.positions = std::span<const int>(ws.positions.data(), 1);
+            return res;
+        }
+    }
 
     // Erasure locator Gamma(x) = prod (1 - X_i x), built in place.
     std::uint8_t *gamma = ws.gamma.data();
@@ -352,7 +426,6 @@ ReedSolomon::decodeCore(std::span<std::uint8_t> codeword,
     // state polynomials keep explicit storage lengths that replicate
     // the reference's vector sizes exactly (they matter in the
     // discrepancy guard below).
-    const int e_cap = (rr - f) / 2;
     std::uint8_t *lambda = ws.lambda.data();
     std::uint8_t *prev = ws.prev.data();
     int lambda_len = 1;
@@ -399,8 +472,6 @@ ReedSolomon::decodeCore(std::span<std::uint8_t> codeword,
 
     const int num_errors = gfpoly::degree(
         std::span<const std::uint8_t>(lambda, lambda_len));
-    const int allowed =
-        maxCorrect < 0 ? e_cap : std::min(maxCorrect, e_cap);
     if (num_errors < 0 || num_errors > allowed || big_l != num_errors) {
         res.status = DecodeStatus::Detected;
         return res;
@@ -563,12 +634,12 @@ ReedSolomon::decodeSoa(std::uint8_t *soa, std::size_t stride, int lanes,
                              ws.soaFlags.data()))
         return;
 
-    // Flagged lanes fall back to the scalar pipeline one column at a
-    // time, reusing the syndromes the screen already computed -- the
-    // zero-syndrome early-out of decode() is exactly the flags test,
-    // so each lane's outcome is bit-identical to decode() on its
-    // word (erasures included: a clean screen returns Clean without
-    // consulting them, as decode() does).
+    // Flagged lanes take decodeCore one column at a time, reusing the
+    // syndromes the screen already computed -- the zero-syndrome
+    // early-out of decode() is exactly the flags test, so each lane's
+    // outcome is bit-identical to decode() on its word (erasures
+    // included: a clean screen returns Clean without consulting them,
+    // as decode() does).
     const int rr = r();
     const std::span<std::uint8_t> word(
         ws.word.data(), static_cast<std::size_t>(n_));

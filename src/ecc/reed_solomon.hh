@@ -32,6 +32,7 @@
 #ifndef ARCC_ECC_REED_SOLOMON_HH
 #define ARCC_ECC_REED_SOLOMON_HH
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -121,12 +122,25 @@ class ReedSolomon
 
     /**
      * Encode in place: reads codeword[0..k), writes codeword[k..n).
-     * Allocation-free; for r <= 8 (every library codec) a
-     * byte-at-a-time LFSR over a 256-entry table of packed
-     * remainders.
+     * Allocation-free; the one-lane case of encodeSoa().
      * @param codeword buffer of at least n symbols.
      */
     void encode(std::span<std::uint8_t> codeword) const;
+
+    /**
+     * Encode a codeword-transposed (SoA) block in place: lane l's word
+     * is soa[i * stride + l] for i in [0, n); rows [0, k) are read and
+     * rows [k, n) written.  A device-major line buffer has exactly
+     * this layout with stride = lanes = codewords per line.  For
+     * r <= 8 (every library codec) each lane is a byte-at-a-time LFSR
+     * over a 256-entry table of packed remainders, and the lanes run
+     * as independent interleaved chains, so their table-load
+     * latencies overlap.  Each lane is bit-identical to encode() on
+     * its word.  Allocation-free.
+     * @pre 0 < lanes <= stride.
+     */
+    void encodeSoa(std::uint8_t *soa, std::size_t stride,
+                   int lanes) const;
 
     /**
      * Compute the first `synd.size()` syndromes S_j = c(alpha^j) into
@@ -158,15 +172,17 @@ class ReedSolomon
 
     /**
      * Batched decode of an SoA block, in place: the vector syndrome
-     * screen above, then the full decode pipeline for just the lanes
-     * it flagged (gathered one column at a time, syndromes reused).
-     * Lane l's outcome is bit-identical to decode() on that word --
-     * same status, same corrected symbols -- with corrections written
-     * back into the block.  `erasures` applies to every lane (the
-     * callers batch codewords that share a device group, so a spared
-     * device erases the same position in each).  Screen scratch comes
-     * from ws.syndSoa / ws.soaFlags; the block itself is the
-     * caller's (usually ws.soa).  Allocation-free.
+     * screen above, then decode() for just the lanes it flagged
+     * (gathered one column at a time into ws.word, the screen's
+     * syndromes reused), so a one-symbol lane takes decode()'s closed
+     * form.  Lane l's outcome is bit-identical to decode() on that
+     * word -- same status, same corrected symbols -- with corrections
+     * written back into the block.  `erasures` applies to every lane
+     * (the callers batch codewords that share a device group, so a
+     * spared device erases the same position in each).  Screen scratch
+     * comes from ws.syndSoa / ws.soaFlags; the block itself is the
+     * caller's (usually ws.soa, as in ArccMemory::accessBatch).
+     * Allocation-free.
      *
      * @param results one RsLaneResult per lane, or nullptr when only
      *                the corrected block is wanted.
@@ -179,6 +195,16 @@ class ReedSolomon
     /**
      * Decode in place through a workspace: the allocation-free fast
      * path.  The returned view's `positions` aliases `ws`.
+     *
+     * One bad symbol -- what a dead chip leaves in every codeword of
+     * an upgraded page -- is corrected in closed form, as a chipkill
+     * controller's single-symbol decoder does: with no erasures and a
+     * cap of at least one error, syndromes S_j = S_0 * X^j for every
+     * j, with X = S_1 / S_0 the locator of a position of this code,
+     * name that position and S_0 its error value.  Berlekamp-Massey,
+     * Chien and Forney would find the same (Lambda = 1 + X x,
+     * Omega = S_0, magnitude S_0), so the result is bit-identical;
+     * every other syndrome pattern runs that pipeline.
      *
      * @param codeword   buffer of n symbols, corrected on success.
      * @param ws         scratch arena (one per worker, reused).
@@ -223,8 +249,9 @@ class ReedSolomon
 
   private:
     /**
-     * The decode pipeline behind both syndrome entry points.  `synd`
-     * must already be known non-zero somewhere.
+     * The decode behind every entry point: the closed form for one
+     * bad symbol, else the full pipeline.  `synd` must already be
+     * known non-zero somewhere.
      */
     RsDecodeView decodeCore(std::span<std::uint8_t> codeword,
                             std::span<const std::uint8_t> synd,
@@ -254,6 +281,9 @@ class ReedSolomon
      *  Chien root that reveals it. */
     std::vector<std::uint8_t> xAt_;
     std::vector<std::uint8_t> xInvAt_;
+    /** posOfX_[x]: the array index whose locator is x, or -1 when x
+     *  locates no position of this code (the closed form's lookup). */
+    std::array<std::int16_t, GF256::kOrder> posOfX_;
     /** Chien start tables: scanning array positions in ascending
      *  order puts the evaluation point at alpha^-(n-1-i), so term j
      *  starts at psi_j * chienInit_[j] = psi_j * alpha^(-j(n-1)). */

@@ -92,8 +92,10 @@ struct RsWorkspace
      *  workspace. */
     std::array<int, kMaxSymbols> positions;
 
-    /** One codeword gathered from a line's device rows (RS line
-     *  codecs, VECC): symbol d from device d. */
+    /** One codeword staged for a scalar decode: a flagged lane of
+     *  ReedSolomon::decodeSoa's block, or a line's codeword gathered
+     *  from its device rows (RsLineCodec::decodeInto, VECC), symbol d
+     *  from device d.  decode() itself never touches it. */
     std::array<std::uint8_t, kMaxSymbols> word;
 
     // ----- SoA batch staging (ReedSolomon::decodeSoa) ----------------

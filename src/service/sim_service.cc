@@ -312,7 +312,7 @@ SimService::computeBody(const ServiceRequest &req) const
     cfg.seed = req.seed;
     const PageUpgradeOracle oracle =
         req.fraction >= 0.0
-            ? PageUpgradeOracle::forFraction(req.fraction, cfg.mem)
+            ? PageUpgradeOracle::forFraction(req.fraction)
             : PageUpgradeOracle::forScenario(*scenario, cfg.mem);
 
     SimResult res;

@@ -1,17 +1,22 @@
 /**
  * @file
  * Reed-Solomon codec tests: round trips, correction capability,
- * guaranteed detection, erasures, and the SCCDCD decode semantics.
+ * guaranteed detection, erasures, the SCCDCD decode semantics, and
+ * exhaustive pins of the closed-form single-symbol decode and the
+ * interleaved SoA encode.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
 #include "ecc/reed_solomon.hh"
+#include "ecc/rs_reference.hh"
 
 namespace arcc
 {
@@ -325,6 +330,167 @@ TEST(ReedSolomon, ErasedDeviceWithSecondErrorCorrects)
         RsDecodeView res = rs.decode(w, ws, -1, erasures);
         EXPECT_NE(res.status, DecodeStatus::Detected);
         EXPECT_EQ(w, orig);
+    }
+}
+
+// --- closed-form single-symbol decode and the SoA encode -------------
+
+TEST(ReedSolomon, EveryWeightOnePatternMatchesReference)
+{
+    // Every single-symbol error -- each position x each of the 255
+    // magnitudes -- at every cap, through decode() and through a
+    // decodeSoa lane: the closed form must give exactly what the
+    // oracle's Berlekamp-Massey / Chien / Forney pipeline gives
+    // (Corrected at a positive cap, Detected at cap 0).
+    constexpr std::size_t kLanes = RsWorkspace::kSoaLanes;
+    Rng rng(49);
+    RsWorkspace ws;
+    RsWorkspace soa_ws;
+    std::array<RsLaneResult, kLanes> lane_res;
+    for (auto [n, k] : {std::pair{18, 16}, {36, 32}, {72, 64}}) {
+        const ReedSolomon rs(n, k);
+        const RsReference ref(n, k);
+        const std::vector<std::uint8_t> clean = randomCodeword(rs, rng);
+        for (int cap : {-1, 0, 1, 2}) {
+            SCOPED_TRACE("RS(" + std::to_string(n) + "," +
+                         std::to_string(k) + ") maxCorrect " +
+                         std::to_string(cap));
+            int patterns = 0, scalar_bad = 0, soa_bad = 0;
+            // Reference outcomes of the lanes staged in soa_ws.soa.
+            std::vector<std::vector<std::uint8_t>> want_words;
+            std::vector<DecodeResult> want;
+            auto flush = [&] {
+                const int lanes = static_cast<int>(want.size());
+                rs.decodeSoa(soa_ws.soa.data(), kLanes, lanes, soa_ws, cap,
+                             {}, lane_res.data());
+                for (int l = 0; l < lanes; ++l) {
+                    bool same =
+                        lane_res[l].status == want[l].status &&
+                        lane_res[l].symbolsCorrected ==
+                            want[l].symbolsCorrected;
+                    for (int i = 0; i < n; ++i)
+                        same = same && soa_ws.soa[i * kLanes + l] ==
+                                           want_words[l][i];
+                    soa_bad += same ? 0 : 1;
+                }
+                want_words.clear();
+                want.clear();
+            };
+            for (int p = 0; p < n; ++p) {
+                for (int m = 1; m < 256; ++m) {
+                    std::vector<std::uint8_t> received = clean;
+                    received[p] ^= static_cast<std::uint8_t>(m);
+                    std::vector<std::uint8_t> expect = received;
+                    const DecodeResult r = ref.decode(expect, cap);
+                    std::vector<std::uint8_t> got = received;
+                    const RsDecodeView v = rs.decode(got, ws, cap);
+                    const bool same =
+                        v.status == r.status &&
+                        v.symbolsCorrected == r.symbolsCorrected &&
+                        std::equal(v.positions.begin(), v.positions.end(),
+                                   r.positions.begin(),
+                                   r.positions.end()) &&
+                        got == expect;
+                    scalar_bad += same ? 0 : 1;
+                    ++patterns;
+
+                    const int l = static_cast<int>(want.size());
+                    for (int i = 0; i < n; ++i)
+                        soa_ws.soa[i * kLanes + l] = received[i];
+                    want_words.push_back(expect);
+                    want.push_back(r);
+                    if (want.size() == kLanes)
+                        flush();
+                }
+            }
+            flush();
+            EXPECT_EQ(patterns, n * 255);
+            EXPECT_EQ(scalar_bad, 0);
+            EXPECT_EQ(soa_bad, 0);
+        }
+    }
+}
+
+TEST(ReedSolomon, WeightTwoPatternsMiscorrectOnlyAtTheAliasRate)
+{
+    // Every weight-2 pattern with its first magnitude fixed to 1
+    // (scaling an error scales its syndromes and the decoder's
+    // answer, so this is 1/255 of all of them), decoded at
+    // maxCorrect 1.  RS(18,16) (d = 3) miscorrects exactly the
+    // bounded-distance alias share C(n - t - 1, t) / (q - 1)^t =
+    // 16/255 of them -- 153 pairs x 16 -- and detects the rest;
+    // RS(36,32) (d = 5) detects every one.
+    struct Case
+    {
+        int n, k, miscorrected;
+    };
+    RsWorkspace ws;
+    for (const Case c : {Case{18, 16, 153 * 16}, Case{36, 32, 0}}) {
+        SCOPED_TRACE("RS(" + std::to_string(c.n) + "," +
+                     std::to_string(c.k) + ")");
+        const ReedSolomon rs(c.n, c.k);
+        std::vector<std::uint8_t> w(c.n);
+        int patterns = 0, corrected = 0, detected = 0, off_code = 0;
+        for (int p1 = 0; p1 < c.n; ++p1) {
+            for (int p2 = p1 + 1; p2 < c.n; ++p2) {
+                for (int m = 1; m < 256; ++m) {
+                    std::fill(w.begin(), w.end(), 0);
+                    w[p1] = 1;
+                    w[p2] = static_cast<std::uint8_t>(m);
+                    const RsDecodeView v = rs.decode(w, ws, 1);
+                    ++patterns;
+                    if (v.status == DecodeStatus::Detected)
+                        ++detected;
+                    if (v.status == DecodeStatus::Corrected) {
+                        ++corrected;
+                        off_code += syndromesZero(rs, w) ? 0 : 1;
+                    }
+                }
+            }
+        }
+        EXPECT_EQ(patterns, c.n * (c.n - 1) / 2 * 255);
+        EXPECT_EQ(corrected, c.miscorrected);
+        EXPECT_EQ(detected, patterns - c.miscorrected);
+        EXPECT_EQ(off_code, 0) << "a correction must land on a codeword";
+    }
+}
+
+TEST(ReedSolomon, SoaEncodeMatchesPerWordEncodeOnEveryLane)
+{
+    // encodeSoa's interleaved chains, 1 to 33 lanes at strides from
+    // the lane count up, against encode() word by word: the packed
+    // LFSR of every line code and the r > 8 loop of RS(255,223).
+    // Columns past the last lane are padding and must not change.
+    Rng rng(50);
+    for (auto [n, k] :
+         {std::pair{18, 16}, {36, 32}, {72, 64}, {255, 223}}) {
+        const ReedSolomon rs(n, k);
+        int bad_lanes = 0, bad_pad = 0;
+        for (int lanes = 1; lanes <= 33; ++lanes) {
+            for (int pad : {0, 1, 7}) {
+                const std::size_t stride = lanes + pad;
+                std::vector<std::uint8_t> soa(n * stride);
+                for (auto &b : soa)
+                    b = static_cast<std::uint8_t>(rng.below(256));
+                const std::vector<std::uint8_t> before = soa;
+                rs.encodeSoa(soa.data(), stride, lanes);
+                for (std::size_t l = 0; l < stride; ++l) {
+                    std::vector<std::uint8_t> col(n), want(n);
+                    for (int i = 0; i < n; ++i) {
+                        col[i] = soa[i * stride + l];
+                        want[i] = before[i * stride + l];
+                    }
+                    if (l >= static_cast<std::size_t>(lanes)) {
+                        bad_pad += col == want ? 0 : 1;
+                        continue;
+                    }
+                    rs.encode(want);
+                    bad_lanes += col == want ? 0 : 1;
+                }
+            }
+        }
+        EXPECT_EQ(bad_lanes, 0) << "RS(" << n << "," << k << ")";
+        EXPECT_EQ(bad_pad, 0) << "RS(" << n << "," << k << ")";
     }
 }
 

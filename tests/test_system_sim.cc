@@ -95,8 +95,7 @@ TEST(PageUpgradeOracle, StructuredFractionsMatchMeasured)
 
 TEST(PageUpgradeOracle, FractionOracleHitsItsTarget)
 {
-    MemoryConfig cfg = arccConfig();
-    auto oracle = PageUpgradeOracle::forFraction(0.2, cfg);
+    auto oracle = PageUpgradeOracle::forFraction(0.2);
     Rng rng(3);
     int upgraded = 0;
     const int n = 50000;
