@@ -83,10 +83,12 @@ main()
                         " of 12");
     bench::shapeRow("fig7_3", "some mixes degrade under a lane fault",
                     degraded > 0, std::to_string(degraded) + " of 12");
-    std::printf("  average degradation is negligible (paper: "
-                "'negligible performance degradation on average'): "
-                "avg lane norm %.3f\n",
-                per_scenario[0].mean());
+    // Paper: "negligible performance degradation on average".
+    bench::shapeRow("fig7_3",
+                    "average lane-fault IPC >= 0.99 of fault-free",
+                    per_scenario[0].mean() >= 0.99,
+                    "avg lane norm " +
+                        TextTable::num(per_scenario[0].mean(), 3));
     std::printf("  worst-case estimate for a lane fault is -50%% "
                 "(0.500): printed above.\n");
     return bench::exitStatus();

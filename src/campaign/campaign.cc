@@ -89,6 +89,13 @@ CampaignSpec::configHash() const
     return h;
 }
 
+double
+CampaignSpec::expectedFaultsPerTrial() const
+{
+    return fitToPerHour(rates.totalFit() * rateBoost) *
+           geom.totalDevices() * years * kHoursPerYear;
+}
+
 CampaignAggregate
 CampaignAggregate::empty()
 {
@@ -213,6 +220,12 @@ CampaignDriver::CampaignDriver(const CampaignSpec &spec,
         fatal("CampaignDriver: %d devices per group does not divide "
               "the channel's %d devices",
               spec_.devicesPerGroup, spec_.geom.totalDevices());
+    const double faults = spec_.expectedFaultsPerTrial();
+    if (!(faults <= CampaignSpec::kMaxExpectedFaultsPerTrial))
+        fatal("CampaignDriver: a trial expects %g faults (boost %g over "
+              "%g years); the limit is %g",
+              faults, spec_.rateBoost, spec_.years,
+              CampaignSpec::kMaxExpectedFaultsPerTrial);
 }
 
 CampaignAggregate
@@ -231,8 +244,10 @@ CampaignDriver::runTrials(std::uint64_t begin, std::uint64_t end) const
         double frac = 0.0;
         addAffectedFractions(spec_.geom, trial.events, end_of_life,
                              {&frac, 1});
-        agg.sdcCandidates += countSdcPairs(trial.faults, spec_.scrubHours);
-        agg.dueCandidates += countDuePairs(trial.faults);
+        const OverlapPairs pairs =
+            countOverlapPairs(trial, spec_.scrubHours);
+        agg.sdcCandidates += pairs.sdc;
+        agg.dueCandidates += pairs.due;
         ++agg.trials;
         agg.faultsSampled += trial.faults.size();
         if (!trial.faults.empty())

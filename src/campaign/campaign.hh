@@ -90,6 +90,15 @@ struct CampaignSpec
     /** Trials per engine shard within an epoch. */
     std::uint64_t shardTrials = 64;
 
+    /** The most faults a trial may expect: about 3 MB of events.  The
+     *  largest fault Monte Carlo behind a figure draws about 505 (Fig
+     *  6.1's validation, 2000x rates over 7 years). */
+    static constexpr double kMaxExpectedFaultsPerTrial = 1e5;
+
+    /** Faults one trial (a channel-lifetime) expects to draw: boosted
+     *  FIT x devices x hours. */
+    double expectedFaultsPerTrial() const;
+
     /**
      * Stable digest of every field above *except the seed* (the seed
      * is carried separately in the checkpoint identity).  Stamped
@@ -254,7 +263,11 @@ struct CampaignRunOptions
 class CampaignDriver
 {
   public:
-    /** nullptr engine = SimEngine::global(). */
+    /** nullptr engine = SimEngine::global().  fatal() on a spec it
+     *  cannot run: no channels, epochs or shards, a non-positive
+     *  horizon or scrub period, a grouping that does not divide the
+     *  devices, or more than kMaxExpectedFaultsPerTrial expected
+     *  faults per trial. */
     explicit CampaignDriver(const CampaignSpec &spec,
                             SimEngine *engine = nullptr);
 

@@ -6,6 +6,7 @@
 #include "faults/fault_model.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.hh"
 #include "common/units.hh"
@@ -111,6 +112,17 @@ std::vector<FaultEvent>
 FaultSampler::sampleLifetime(double hours, Rng &rng) const
 {
     std::vector<FaultEvent> events;
+    EventSortScratch scratch;
+    sampleLifetime(hours, rng, events, scratch);
+    return events;
+}
+
+void
+FaultSampler::sampleLifetime(double hours, Rng &rng,
+                             std::vector<FaultEvent> &events,
+                             EventSortScratch &scratch) const
+{
+    events.clear();
     const double devices = geom_.totalDevices();
     for (FaultType t : allFaultTypes()) {
         double rate_per_hour = fitToPerHour(rates_[t]) * devices;
@@ -127,21 +139,46 @@ FaultSampler::sampleLifetime(double hours, Rng &rng) const
             events.push_back(e);
         }
     }
-    sortEvents(events);
-    return events;
+    sortEvents(events, scratch);
 }
 
 void
 FaultSampler::sortEvents(std::vector<FaultEvent> &events)
 {
-    // stable_sort, not sort: equal timestamps keep their type-major
-    // insertion order, so lifetimes are bit-identical across standard
-    // libraries (unstable sort made tie order libstdc++/libc++
-    // dependent, which broke golden-pinned campaign results).
-    std::stable_sort(events.begin(), events.end(),
-                     [](const FaultEvent &a, const FaultEvent &b) {
-                         return a.timeHours < b.timeHours;
-                     });
+    EventSortScratch scratch;
+    sortEvents(events, scratch);
+}
+
+void
+FaultSampler::sortEvents(std::span<FaultEvent> events,
+                         EventSortScratch &scratch)
+{
+    // Equal timestamps must keep their type-major insertion order, so
+    // lifetimes are bit-identical across standard libraries (sorting
+    // on the time alone made tie order libstdc++/libc++ dependent,
+    // which broke golden-pinned campaign results).  The insertion
+    // index in the key settles every tie.
+    using Key = EventSortScratch::Key;
+    const std::size_t n = events.size();
+    if (n < 2)
+        return;
+    ARCC_ASSERT(n <= std::numeric_limits<std::uint32_t>::max());
+    const auto before = [](const Key &a, const Key &b) {
+        return a.timeHours < b.timeHours ||
+               (a.timeHours == b.timeHours && a.index < b.index);
+    };
+
+    std::vector<Key> &keys = scratch.keys;
+    keys.resize(n);
+    for (std::size_t i = 0; i < n; ++i)
+        keys[i] = {events[i].timeHours, static_cast<std::uint32_t>(i)};
+    std::sort(keys.begin(), keys.end(), before);
+
+    // Gather the events into key order.
+    std::vector<FaultEvent> &unsorted = scratch.events;
+    unsorted.assign(events.begin(), events.end());
+    for (std::size_t k = 0; k < n; ++k)
+        events[k] = unsorted[keys[k].index];
 }
 
 } // namespace arcc

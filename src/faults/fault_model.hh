@@ -16,6 +16,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hh"
@@ -111,6 +112,20 @@ struct FaultEvent
     int device = 0;
 };
 
+/** Buffers FaultSampler::sortEvents reuses from call to call. */
+struct EventSortScratch
+{
+    /** An event's sort key: arrival time, then insertion index. */
+    struct Key
+    {
+        double timeHours = 0.0;
+        std::uint32_t index = 0;
+    };
+    std::vector<Key> keys;
+    /** The events in insertion order, gathered back in key order. */
+    std::vector<FaultEvent> events;
+};
+
 /**
  * Samples fault-arrival histories for one domain (Poisson arrivals per
  * mode at rate FIT x devices).
@@ -124,12 +139,30 @@ class FaultSampler
     std::vector<FaultEvent> sampleLifetime(double hours, Rng &rng) const;
 
     /**
-     * Sort events by arrival time with a *stable* sort: equal
-     * timestamps keep their type-major insertion order, making the
-     * sampled history independent of the standard library's sort
+     * The same lifetime into `events` (cleared first), sorted through
+     * `scratch`: no allocation once the buffers have held a lifetime
+     * this long.
+     */
+    void sampleLifetime(double hours, Rng &rng,
+                        std::vector<FaultEvent> &events,
+                        EventSortScratch &scratch) const;
+
+    /**
+     * Sort events by arrival time, keeping equal timestamps in their
+     * type-major insertion order (what a stable sort gives), so the
+     * sampled history is independent of the standard library's sort
      * implementation.  Exposed for the determinism regression test.
      */
     static void sortEvents(std::vector<FaultEvent> &events);
+
+    /**
+     * sortEvents through `scratch`, in O(n log n) and with no
+     * allocation once the buffers have held n events.  std::sort on
+     * the key (time, insertion index), a strict total order, yields
+     * exactly the stable order.
+     */
+    static void sortEvents(std::span<FaultEvent> events,
+                           EventSortScratch &scratch);
 
   private:
     DomainGeometry geom_;

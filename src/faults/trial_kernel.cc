@@ -71,7 +71,7 @@ void
 TrialKernel::draw(std::uint64_t trial, Trial &out) const
 {
     Rng rng = Rng::stream(seed_, trial);
-    out.events = sampler_.sampleLifetime(hours_, rng);
+    sampler_.sampleLifetime(hours_, rng, out.events, out.sort);
     out.faults.clear();
     for (std::size_t i = 0; groups_ > 0 && i < out.events.size(); ++i) {
         ConcreteFault f;
@@ -86,34 +86,132 @@ TrialKernel::draw(std::uint64_t trial, Trial &out) const
     }
 }
 
-std::uint64_t
-countSdcPairs(std::span<const ConcreteFault> faults, double scrubHours)
+namespace
 {
-    std::uint64_t pairs = 0;
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-        // Fault i is detected (and its pages upgraded) at the end of
-        // the scrub period it arrives in.
-        const double detect =
-            (std::floor(faults[i].timeHours / scrubHours) + 1.0) *
-            scrubHours;
-        for (std::size_t j = i + 1; j < faults.size(); ++j) {
-            if (faults[j].timeHours >= detect)
-                break;
-            if (faultsOverlap(faults[i], faults[j]))
-                ++pairs;
-        }
-    }
-    return pairs;
+
+/** When the scrub finds a fault arriving at `hours`: the end of the
+ *  scrub period it arrives in. */
+double
+detectHours(double hours, double scrubHours)
+{
+    return (std::floor(hours / scrubHours) + 1.0) * scrubHours;
 }
 
-std::uint64_t
-countDuePairs(std::span<const ConcreteFault> faults)
+constexpr unsigned kBankBit = 1;
+constexpr unsigned kRowBit = 2;
+constexpr unsigned kColBit = 4;
+
+/** footprintScope as bank / row / column bits, by FaultType value: a
+ *  table, so the scan takes no branch per fault. */
+const std::array<unsigned, kNumFaultTypes> kScopeBits = [] {
+    std::array<unsigned, kNumFaultTypes> bits{};
+    for (FaultType t : allFaultTypes()) {
+        const FootprintScope s = footprintScope(t);
+        bits[static_cast<int>(t)] = (s.oneBank ? kBankBit : 0) |
+                                    (s.oneRow ? kRowBit : 0) |
+                                    (s.oneCol ? kColBit : 0);
+    }
+    return bits;
+}();
+
+} // anonymous namespace
+
+OverlapPairs
+countOverlapPairs(Trial &trial, double scrubHours)
 {
-    std::uint64_t pairs = 0;
-    for (std::size_t i = 0; i < faults.size(); ++i)
-        for (std::size_t j = i + 1; j < faults.size(); ++j)
-            if (faultsOverlap(faults[i], faults[j]))
-                ++pairs;
+    const std::vector<ConcreteFault> &faults = trial.faults;
+    const std::size_t n = faults.size();
+    OverlapPairs pairs;
+
+    // Lane pairs, and a count of the other faults per group.
+    GroupedFaults &grouped = trial.grouped;
+    std::vector<std::uint32_t> &starts = grouped.starts;
+    std::fill(starts.begin(), starts.end(), 0);
+    std::uint64_t lanes = 0;
+    for (std::size_t p = 0; p < n; ++p) {
+        const ConcreteFault &f = faults[p];
+        if (f.type != FaultType::Lane) {
+            ARCC_ASSERT(f.group >= 0);
+            const auto g = static_cast<std::size_t>(f.group);
+            if (g >= starts.size())
+                starts.resize(g + 1, 0);
+            ++starts[g];
+            continue;
+        }
+        ++lanes;
+        // Later faults inside the lane fault's window, and earlier
+        // non-lane faults whose window it lands in (an earlier lane
+        // fault's own walk has that pair).  Windows end no earlier
+        // for later arrivals, so both walks stop at the first miss.
+        const double detect = detectHours(f.timeHours, scrubHours);
+        for (std::size_t j = p + 1;
+             j < n && faults[j].timeHours < detect; ++j)
+            ++pairs.sdc;
+        for (std::size_t i = p;
+             i-- > 0 && f.timeHours < detectHours(faults[i].timeHours,
+                                                  scrubHours);)
+            pairs.sdc += faults[i].type != FaultType::Lane;
+    }
+    pairs.due = lanes * (n - lanes) + lanes * (lanes - 1) / 2;
+
+    // Stable counting sort of the other faults by group: starts[g]
+    // becomes group g's first row once the backward fill is done.
+    std::uint32_t total = 0;
+    for (std::uint32_t &s : starts) {
+        total += s;
+        s = total;
+    }
+    grouped.timeHours.resize(total);
+    grouped.device.resize(total);
+    grouped.bank.resize(total);
+    grouped.row.resize(total);
+    grouped.col.resize(total);
+    grouped.scope.resize(total);
+    for (std::size_t p = n; p-- > 0;) {
+        const ConcreteFault &f = faults[p];
+        if (f.type == FaultType::Lane)
+            continue;
+        const std::uint32_t r = --starts[static_cast<std::size_t>(f.group)];
+        grouped.timeHours[r] = f.timeHours;
+        grouped.device[r] = f.device;
+        grouped.bank[r] = f.bank;
+        grouped.row[r] = f.row;
+        grouped.col[r] = f.col;
+        grouped.scope[r] = kScopeBits[static_cast<int>(f.type)];
+    }
+
+    // Within a group, faultsOverlap is: different devices, and equal
+    // coordinates in every dimension both footprints are confined to.
+    // Rows are in arrival order, so i's SDC pairs are a prefix of its
+    // later rows.
+    const double *time = grouped.timeHours.data();
+    const int *device = grouped.device.data();
+    const int *bank = grouped.bank.data();
+    const int *row = grouped.row.data();
+    const int *col = grouped.col.data();
+    const unsigned *scope = grouped.scope.data();
+    for (std::size_t g = 0; g < starts.size(); ++g) {
+        const std::size_t end =
+            g + 1 < starts.size() ? starts[g + 1] : total;
+        for (std::size_t i = starts[g]; i < end; ++i) {
+            const auto overlaps = [&, i](std::size_t j) {
+                const unsigned differs =
+                    unsigned{bank[i] != bank[j]} * kBankBit |
+                    unsigned{row[i] != row[j]} * kRowBit |
+                    unsigned{col[i] != col[j]} * kColBit;
+                return unsigned{device[i] != device[j]} &
+                       unsigned{(differs & scope[i] & scope[j]) == 0};
+            };
+            // A 32-bit count keeps this loop in 32-bit vector lanes.
+            unsigned due = 0;
+            for (std::size_t j = i + 1; j < end; ++j)
+                due += overlaps(j);
+            pairs.due += due;
+            const double detect = detectHours(time[i], scrubHours);
+            for (std::size_t j = i + 1; j < end && time[j] < detect; ++j)
+                pairs.sdc += overlaps(j);
+        }
+    }
     return pairs;
 }
 
@@ -123,16 +221,26 @@ addAffectedFractions(const DomainGeometry &geom,
                      std::span<const double> gridYears,
                      std::span<double> acc)
 {
-    // Cell (rank, bank, half) is bit (rank * banks + bank) * 2 + half.
+    // Cell (rank, bank, half) is bit (rank * banks + bank) * 2 + half
+    // of a bitmap on the stack; only a domain of more than 1024 cells
+    // puts it on the heap.
     const std::size_t rank_cells =
         static_cast<std::size_t>(geom.banksPerDevice) * 2;
-    std::vector<bool> cells(geom.ranks * rank_cells, false);
+    const std::size_t cells = geom.ranks * rank_cells;
+    std::array<std::uint64_t, 16> stack_words{};
+    std::vector<std::uint64_t> heap_words;
+    std::uint64_t *words = stack_words.data();
+    if (cells > 64 * stack_words.size()) {
+        heap_words.assign((cells + 63) / 64, 0);
+        words = heap_words.data();
+    }
     std::size_t marked = 0;
     std::uint64_t small_pages = 0;
     const auto mark = [&](std::size_t first, std::size_t count) {
         for (std::size_t i = first; i < first + count; ++i) {
-            marked += !cells[i];
-            cells[i] = true;
+            const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+            marked += (words[i / 64] & bit) == 0;
+            words[i / 64] |= bit;
         }
     };
 
@@ -145,7 +253,7 @@ addAffectedFractions(const DomainGeometry &geom,
             const std::size_t rank = e.rank * rank_cells;
             const std::size_t bank = rank + e.bank * 2;
             switch (e.type) {
-              case FaultType::Lane:   mark(0, cells.size()); break;
+              case FaultType::Lane:   mark(0, cells); break;
               case FaultType::Device: mark(rank, rank_cells); break;
               case FaultType::Bank:   mark(bank, 2); break;
               case FaultType::Column: mark(bank + e.half, 1); break;
@@ -155,7 +263,7 @@ addAffectedFractions(const DomainGeometry &geom,
             }
         }
         const double big = static_cast<double>(marked) /
-                           static_cast<double>(cells.size());
+                           static_cast<double>(cells);
         const double small = static_cast<double>(small_pages) /
                              static_cast<double>(geom.pages);
         acc[p] += std::min(1.0, big + small);

@@ -7,12 +7,14 @@
  * Trial t draws its history with FaultSampler::sampleLifetime on
  * Rng::stream(seed, t), then each event's codeword footprint from the
  * same stream (the bank comes from the event), then runs observers:
- * affected pages, the windowed SDC-pair scan, the all-pairs DUE scan
- * and the per-year overhead integrator.  Footprints draw after the
- * history, so a histories-only caller sees the same events.  Callers:
- * LifetimeMc (histories), SdcModel::mcArccSdcEventsDetailed (the
- * windowed scan) and CampaignDriver::runTrials (both scans and
- * affected pages).
+ * affected pages, the fused SDC/DUE overlap scan and the per-year
+ * overhead integrator.  Footprints draw after the history, so a
+ * histories-only caller sees the same events.  A Trial owns every
+ * buffer the draw and the scan use, so a caller that reuses one Trial
+ * allocates nothing per trial once the buffers have grown.  Callers:
+ * LifetimeMc (histories), SdcModel::mcArccSdcEventsDetailed (the SDC
+ * count) and CampaignDriver::runTrials (both counts and affected
+ * pages).
  */
 
 #ifndef ARCC_FAULTS_TRIAL_KERNEL_HH
@@ -67,12 +69,31 @@ struct CodewordLayout
     int colsPerBank = 0;
 };
 
+/** countOverlapPairs' scratch: a trial's non-lane faults grouped by
+ *  codeword group in arrival order, one column per field so that the
+ *  pair loop vectorises.  Group g's faults are rows
+ *  [starts[g], starts[g + 1]) (the last group ends at the row count). */
+struct GroupedFaults
+{
+    std::vector<std::uint32_t> starts;
+    std::vector<double> timeHours;
+    std::vector<int> device;
+    std::vector<int> bank;
+    std::vector<int> row;
+    std::vector<int> col;
+    /** footprintScope as bank (1) / row (2) / column (4) bits. */
+    std::vector<unsigned> scope;
+};
+
 /** One drawn trial in arrival order; faults[i] is events[i]'s
- *  footprint (no faults for a histories-only kernel). */
+ *  footprint (no faults for a histories-only kernel).  The rest is
+ *  scratch that draw and countOverlapPairs reuse from trial to trial. */
 struct Trial
 {
     std::vector<FaultEvent> events;
     std::vector<ConcreteFault> faults;
+    EventSortScratch sort;
+    GroupedFaults grouped;
 };
 
 /** Draws the trials of one experiment; trial t is a pure function of
@@ -96,15 +117,28 @@ class TrialKernel
     int groups_ = 0;
 };
 
-/** Windowed SDC-pair scan (ARCC DED's only new SDC path): overlapping
- *  pairs whose later fault arrives before the end of the earlier
- *  one's scrub period, when the scrub finds it.  `faults` must be in
- *  arrival order. */
-std::uint64_t countSdcPairs(std::span<const ConcreteFault> faults,
-                            double scrubHours);
+/** Overlapping fault pairs (faultsOverlap) of one trial. */
+struct OverlapPairs
+{
+    /** SDC candidates (ARCC DED's only new SDC path): pairs whose
+     *  later fault j arrives before the end of the earlier fault i's
+     *  scrub period, when the scrub finds i:
+     *  t_j < (floor(t_i / scrubHours) + 1) * scrubHours. */
+    std::uint64_t sdc = 0;
+    /** DUE candidates: overlapping pairs at any separation. */
+    std::uint64_t due = 0;
+};
 
-/** All-pairs DUE scan: overlapping pairs at any separation. */
-std::uint64_t countDuePairs(std::span<const ConcreteFault> faults);
+/**
+ * The overlap scan over trial.faults, which must be in arrival order.
+ * L lane faults among n overlap everything: they add
+ * L * (n - L) + L * (L - 1) / 2 DUE pairs, and walking each lane
+ * fault's scrub window (and the windows it lands in) gives their SDC
+ * pairs.  Any other pair can overlap only within one codeword group,
+ * so the rest are compared group by group, in arrival order, through
+ * trial's scratch buffers.
+ */
+OverlapPairs countOverlapPairs(Trial &trial, double scrubHours);
 
 /**
  * Affected-page observer: adds to acc[p] the fraction of the domain's

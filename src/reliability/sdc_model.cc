@@ -193,7 +193,7 @@ SdcModel::mcArccSdcEventsDetailed(double years, double boost,
             for (std::uint64_t t = shard.begin; t < shard.end; ++t) {
                 kernel.draw(t, trial);
                 const std::uint64_t events =
-                    countSdcPairs(trial.faults, config_.scrubHours);
+                    countOverlapPairs(trial, config_.scrubHours).sdc;
                 ++partial.trials;
                 partial.events += events;
                 partial.faultsSampled += trial.faults.size();

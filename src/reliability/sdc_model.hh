@@ -155,10 +155,11 @@ class SdcModel
      * Compare against arccSdcEvents computed on the boosted config.
      *
      * Trial t is trial t of a TrialKernel, one codeword group per
-     * rank, scored by countSdcPairs.  Trials are sharded across the
-     * engine (nullptr = the global one); the per-shard partials are
-     * integer counters merged in shard order, so the event count and
-     * the per-trial histogram are bit-identical at any thread count.
+     * rank, scored by countOverlapPairs' SDC count.  Trials are
+     * sharded across the engine (nullptr = the global one); the
+     * per-shard partials are integer counters merged in shard order,
+     * so the event count and the per-trial histogram are
+     * bit-identical at any thread count.
      * tests/test_determinism.cc enforces this.
      */
     double mcArccSdcEvents(double years, double boost, int trials,

@@ -319,6 +319,14 @@ ServiceRequest::parse(const std::string &line, ServiceRequest &out,
             error = "\"boost\" must be in (0, 1e9]";
             return false;
         }
+        if (!(spec.expectedFaultsPerTrial() <=
+              CampaignSpec::kMaxExpectedFaultsPerTrial)) {
+            error = "\"boost\" x \"years\" asks a channel-lifetime for " +
+                    json::number(spec.expectedFaultsPerTrial()) +
+                    " faults; the limit is " +
+                    json::number(CampaignSpec::kMaxExpectedFaultsPerTrial);
+            return false;
+        }
         if (!(spec.scrubHours > 0.0) || spec.scrubHours > 1e6) {
             error = "\"scrub_hours\" must be in (0, 1e6]";
             return false;

@@ -1,16 +1,19 @@
 /**
  * @file
- * Heap-allocation audits for the steady-state decode paths.
+ * Heap-allocation audits for the steady-state decode paths and the
+ * lifetime trial loops.
  *
  * The contract is that the ECC hot loops -- syndrome screens, encodes,
  * decodes, the scrub-style batch sweep, line writes, the VECC batch --
  * perform *zero* heap allocations once their workspaces are warm,
  * including when one workspace serves upgraded (36-device) and relaxed
  * (18-device) groups in turn: an encoded line is one flat buffer, so
- * switching group widths reuses its capacity.
- * This binary replaces the global operator new/delete with counting
- * wrappers and measures allocation deltas across the hot regions, and
- * live-byte peaks across whole simulations.
+ * switching group widths reuses its capacity.  The fault Monte Carlos'
+ * trial loops reuse one Trial, so once its buffers have grown they
+ * allocate nothing per trial.  This binary replaces the global
+ * operator new/delete with counting wrappers and measures allocation
+ * deltas across the hot regions, and live-byte peaks across whole
+ * simulations.
  *
  * Assertions are collected into plain flags inside the measured
  * regions (a failing gtest assertion allocates its message, which
@@ -35,11 +38,15 @@
 #include "arcc/arcc_memory.hh"
 #include "arcc/scrubber.hh"
 #include "arcc/vecc.hh"
+#include "campaign/campaign.hh"
 #include "common/rng.hh"
+#include "common/units.hh"
 #include "cpu/system_sim.hh"
 #include "cpu/trace.hh"
 #include "ecc/gf256_simd.hh"
 #include "ecc/reed_solomon.hh"
+#include "engine/sim_engine.hh"
+#include "faults/lifetime_mc.hh"
 
 namespace
 {
@@ -478,6 +485,129 @@ TEST(AllocFree, TraceStreamReplayIsChunkBoundedNotFileBound)
     EXPECT_LT(stream_bytes, 64 * 1024u)
         << "TraceStream must hold one chunk, not the file";
     std::remove(path.c_str());
+}
+
+/**
+ * A trial below `window` from which the next `run` trials are never
+ * longer, or hold more non-lane faults or a higher codeword group: a
+ * run of trials from there grows every buffer of its Trial to full
+ * size on the first one.
+ */
+std::uint64_t
+longestTrial(const TrialKernel &kernel, std::uint64_t window,
+             std::uint64_t run)
+{
+    Trial trial;
+    std::vector<std::size_t> counts;
+    std::vector<bool> lanes;
+    std::vector<int> top_group;
+    for (std::uint64_t t = 0; t < window + run; ++t) {
+        kernel.draw(t, trial);
+        counts.push_back(trial.events.size());
+        lanes.push_back(std::any_of(
+            trial.events.begin(), trial.events.end(),
+            [](const FaultEvent &e) { return e.type == FaultType::Lane; }));
+        int top = -1;
+        for (const ConcreteFault &f : trial.faults)
+            top = std::max(top, f.group);
+        top_group.push_back(top);
+    }
+    const int groups =
+        *std::max_element(top_group.begin(), top_group.end());
+    std::vector<std::uint64_t> longest_first(window);
+    for (std::uint64_t t = 0; t < window; ++t)
+        longest_first[t] = t;
+    // std::sort, not std::stable_sort: the latter's buffer comes from
+    // the nothrow operator new this binary does not replace.
+    std::sort(longest_first.begin(), longest_first.end(),
+              [&](std::uint64_t a, std::uint64_t b) {
+                  return counts[a] > counts[b] ||
+                         (counts[a] == counts[b] && a < b);
+              });
+    for (std::uint64_t t : longest_first)
+        if (!lanes[t] && top_group[t] == groups &&
+            *std::max_element(counts.begin() + t,
+                              counts.begin() + t + run) == counts[t])
+            return t;
+    ADD_FAILURE() << "no trial below " << window << " heads its run";
+    return 0;
+}
+
+TEST(AllocFree, CampaignTrialsAllocateNothingPerTrial)
+{
+    // runTrials reuses one Trial, so past its buffers' growth it
+    // allocates per call (the aggregate's sketches), never per trial:
+    // 4,096 trials take no more allocations than 256 when both runs
+    // start at a trial that grows every buffer to full size.
+    CampaignSpec spec; // boost 100, 5 years, 18-device groups.
+    spec.channels = 1 << 14;
+    spec.seed = 20130223;
+    SimEngine engine(SimEngine::Options{1});
+    const CampaignDriver driver(spec, &engine);
+    const TrialKernel kernel(
+        spec.geom, spec.rates.scaled(spec.rateBoost),
+        spec.years * kHoursPerYear, spec.seed,
+        {spec.devicesPerGroup, spec.rowsPerBank, spec.colsPerBank});
+    const std::uint64_t first = longestTrial(kernel, 8192, 4096);
+
+    const auto allocationsOver = [&](std::uint64_t trials) {
+        const std::uint64_t before =
+            g_allocs.load(std::memory_order_relaxed);
+        const CampaignAggregate agg =
+            driver.runTrials(first, first + trials);
+        const std::uint64_t allocs =
+            g_allocs.load(std::memory_order_relaxed) - before;
+        EXPECT_EQ(agg.trials, trials);
+        return allocs;
+    };
+    const std::uint64_t short_run = allocationsOver(256);
+    const std::uint64_t long_run = allocationsOver(4096);
+    EXPECT_LE(long_run, short_run)
+        << short_run << " allocations over 256 trials, " << long_run
+        << " over 4096";
+}
+
+TEST(AllocFree, LifetimeMcAllocatesPerShardNotPerChannel)
+{
+    // Each LifetimeMc shard draws its 64 channels into one Trial, so
+    // a curve's allocations grow with the shards (the Trial's buffers
+    // and the shard's partial), never with the channels: at 100x
+    // rates, where every channel holds faults, 3,840 more channels
+    // take fewer than 3,840 more allocations for either curve.  Any
+    // allocation per channel fails this.
+    LifetimeMcConfig cfg;
+    cfg.rates = cfg.rates.scaled(100.0);
+    SimEngine engine(SimEngine::Options{1});
+    PerTypeOverhead per_type{};
+    per_type.fill(0.01);
+
+    const auto allocationsOver = [&](int channels, auto curve) {
+        cfg.channels = channels;
+        const LifetimeMc mc(cfg, &engine);
+        const std::uint64_t before =
+            g_allocs.load(std::memory_order_relaxed);
+        const std::vector<double> avg = curve(mc);
+        const std::uint64_t allocs =
+            g_allocs.load(std::memory_order_relaxed) - before;
+        EXPECT_GT(avg.back(), 0.0);
+        return allocs;
+    };
+    const auto affected = [](const LifetimeMc &mc) {
+        return mc.affectedFraction().avgFraction;
+    };
+    const auto overhead = [&](const LifetimeMc &mc) {
+        return mc.cumulativeOverheadByYear(per_type, 0.5);
+    };
+    const std::uint64_t affected_short = allocationsOver(256, affected);
+    const std::uint64_t affected_long = allocationsOver(4096, affected);
+    EXPECT_LT(affected_long - affected_short, 4096u - 256u)
+        << affected_short << " allocations over 256 channels, "
+        << affected_long << " over 4096";
+    const std::uint64_t overhead_short = allocationsOver(256, overhead);
+    const std::uint64_t overhead_long = allocationsOver(4096, overhead);
+    EXPECT_LT(overhead_long - overhead_short, 4096u - 256u)
+        << overhead_short << " allocations over 256 channels, "
+        << overhead_long << " over 4096";
 }
 
 /** Peak live heap bytes a callable adds above the level it starts at. */

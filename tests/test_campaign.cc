@@ -81,6 +81,9 @@ TEST(Campaign, SpecValidation)
     spec.channels = 500; // short last epoch
     EXPECT_EQ(spec.epochCount(), 8u);
     EXPECT_EQ(spec.epochEnd(7), 500u);
+
+    // 57.2 FIT x 100 x 72 devices x 5 years of 8766 hours.
+    EXPECT_NEAR(spec.expectedFaultsPerTrial(), 18.051, 0.001);
 }
 
 TEST(CampaignDeathTest, BadSpecsAreFatal)
@@ -103,6 +106,23 @@ TEST(CampaignDeathTest, BadSpecsAreFatal)
         s.devicesPerGroup = 17; // does not divide 72
         EXPECT_EXIT(CampaignDriver(s, &engine),
                     ::testing::ExitedWithCode(1), "does not divide");
+    }
+    {
+        // About 3.6e10 expected faults: ~1 TB of events per trial.
+        CampaignSpec s = testSpec();
+        s.rateBoost = 1e9;
+        s.years = 1000.0;
+        EXPECT_EXIT(CampaignDriver(s, &engine),
+                    ::testing::ExitedWithCode(1),
+                    "a trial expects 3.6.*e\\+10 faults");
+    }
+    {
+        // Just past the limit: 101,015 expected faults.
+        CampaignSpec s = testSpec();
+        s.rateBoost = 140000.0;
+        s.years = 20.0;
+        EXPECT_EXIT(CampaignDriver(s, &engine),
+                    ::testing::ExitedWithCode(1), "the limit is 100000");
     }
 }
 

@@ -9,7 +9,9 @@
  *
  * The spec here is tests/test_determinism.cc's campaignSpec() -- same
  * fleet, same seed -- so the merged digests are pinned against the
- * same golden 0xa0c045902c858d77 CI greps from the smoke runs.
+ * same golden 0xa0c045902c858d77 as its single-process run.  (CI's
+ * arcc_campaign smokes pin a larger fleet's digest,
+ * 37ac86cc083cbf53.)
  *
  * Every engine in this file is a small *local* engine except the one
  * global-engine golden test kept last: the SIGKILL test fork()s, and

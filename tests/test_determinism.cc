@@ -838,6 +838,36 @@ TEST(CampaignDeterminism, GoldenDigestOnTheGlobalEngine)
     EXPECT_EQ(r.digest(spec), 0xa0c045902c858d77ULL);
 }
 
+TEST(CampaignDeterminism, LaneHeavyGoldenDigestsOnTheGlobalEngine)
+{
+    // At boost 2000 a trial draws about 360 faults, 1.9 of them lane
+    // faults, so these digests pin the overlap scan's lane pairs and
+    // its per-group comparisons at 2, 1 and 8 codeword groups; the
+    // boost-100 golden above sees 0.095 lane faults per trial.  A
+    // quarter of campaignSpec()'s fleet (2 epochs, 8 shards) keeps the
+    // test short; `arcc_campaign --channels 512 --epoch-trials 256
+    // --seed 20130223 --boost 2000 --group-devices G` prints the same.
+    struct Golden
+    {
+        int devicesPerGroup;
+        std::uint64_t digest;
+    };
+    const Golden goldens[] = {{36, 0x0f516ea55de3f930ULL},
+                              {72, 0x18bc47de7d528ba0ULL},
+                              {9, 0x21f5033f9bd53b80ULL}};
+    for (const Golden &g : goldens) {
+        SCOPED_TRACE(std::to_string(g.devicesPerGroup) +
+                     "-device groups");
+        CampaignSpec spec = campaignSpec();
+        spec.channels = 512;
+        spec.rateBoost = 2000.0;
+        spec.devicesPerGroup = g.devicesPerGroup;
+        const CampaignRunResult r = CampaignDriver(spec).run();
+        EXPECT_EQ(r.aggregate.trials, 512u);
+        EXPECT_EQ(r.digest(spec), g.digest);
+    }
+}
+
 TEST(CampaignDeterminism, ResumeSplitsAreBitIdenticalAcrossThreads)
 {
     // Interrupt after 3 epochs on one engine, resume on an engine of

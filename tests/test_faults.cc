@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hh"
 #include "common/units.hh"
@@ -104,6 +107,51 @@ TEST(FaultSampler, SortEventsIsStableOnTimestampTies)
         EXPECT_DOUBLE_EQ(e.timeHours, 2.0);
         EXPECT_EQ(e.type, allFaultTypes()[i / 2]) << i;
         EXPECT_EQ(e.device, (i / 2) * 3 + (i % 2 == 0 ? 0 : 2)) << i;
+    }
+}
+
+TEST(FaultSampler, SortEventsMatchesAStableSortOnAnyInput)
+{
+    // sortEvents sorts on (time, insertion index) and must give a
+    // stable sort's order on any input: spread times, a tight cluster
+    // with one outlier, heavy ties, one time for all, and reversed
+    // order, from 0 to 3000 events, through one reused scratch.
+    Rng rng(2013);
+    EventSortScratch scratch;
+    for (int round = 0; round < 200; ++round) {
+        const std::size_t n = round < 5 ? static_cast<std::size_t>(round)
+                                        : rng.below(3000);
+        const int shape = round % 5;
+        std::vector<FaultEvent> events;
+        for (std::size_t i = 0; i < n; ++i) {
+            FaultEvent e;
+            switch (shape) {
+              case 0: e.timeHours = rng.uniform() * 43830.0; break;
+              case 1:
+                e.timeHours = i == 0 ? 1e6 : rng.uniform() * 1e-3;
+                break;
+              case 2:
+                e.timeHours = static_cast<double>(rng.below(8));
+                break;
+              case 3: e.timeHours = 7.0; break;
+              default:
+                e.timeHours = static_cast<double>(n - i);
+                break;
+            }
+            e.device = static_cast<int>(i); // Insertion tag.
+            events.push_back(e);
+        }
+        std::vector<FaultEvent> expect = events;
+        std::stable_sort(expect.begin(), expect.end(),
+                         [](const FaultEvent &a, const FaultEvent &b) {
+                             return a.timeHours < b.timeHours;
+                         });
+        FaultSampler::sortEvents(events, scratch);
+        ASSERT_EQ(events.size(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(events[i].device, expect[i].device)
+                << "round " << round << " shape " << shape << " at " << i;
+        }
     }
 }
 
@@ -249,12 +297,14 @@ TEST(TrialKernel, WindowedScanEndsAtTheFirstFaultsDetection)
         FaultType::Device, 0, 1, 0, 0, 0, std::nextafter(detect, 0.0));
     const ConcreteFault at_detect =
         concreteFault(FaultType::Device, 0, 1, 0, 0, 0, detect);
-    const ConcreteFault inside[] = {first, just_before};
-    const ConcreteFault outside[] = {first, at_detect};
-    EXPECT_EQ(countSdcPairs(inside, scrub), 1u);
-    EXPECT_EQ(countSdcPairs(outside, scrub), 0u);
-    EXPECT_EQ(countDuePairs(inside), 1u);
-    EXPECT_EQ(countDuePairs(outside), 1u);
+    Trial inside;
+    inside.faults = {first, just_before};
+    Trial outside;
+    outside.faults = {first, at_detect};
+    EXPECT_EQ(countOverlapPairs(inside, scrub).sdc, 1u);
+    EXPECT_EQ(countOverlapPairs(outside, scrub).sdc, 0u);
+    EXPECT_EQ(countOverlapPairs(inside, scrub).due, 1u);
+    EXPECT_EQ(countOverlapPairs(outside, scrub).due, 1u);
 }
 
 void
@@ -315,6 +365,81 @@ TEST(TrialKernelDeathTest, GroupingMustDivideTheDevices)
                             kHoursPerYear, 1, {10, 8192, 1024}),
                 ::testing::ExitedWithCode(1),
                 "10 devices per group does not divide");
+}
+
+TEST(TrialKernel, AffectedFractionsMatchAPerCellReference)
+{
+    // addAffectedFractions keeps its (rank, bank, half) cells in a
+    // bitmap on the stack up to 1024 cells and on the heap past that.
+    // Both must match a plain per-cell set: at the default 32 cells,
+    // at exactly 1024, and at 1040 and 2048.
+    Rng rng(25);
+    const std::vector<double> grid = {0.5, 1, 2, 3, 5, 8, 10};
+    for (auto [ranks, banks] : {std::pair{2, 8}, std::pair{64, 8},
+                                std::pair{65, 8}, std::pair{64, 16}}) {
+        DomainGeometry geom;
+        geom.ranks = ranks;
+        geom.banksPerDevice = banks;
+        const std::size_t cells = static_cast<std::size_t>(ranks) *
+                                  static_cast<std::size_t>(banks) * 2;
+        for (int round = 0; round < 40; ++round) {
+            SCOPED_TRACE(std::to_string(cells) + " cells, round " +
+                         std::to_string(round));
+            std::vector<FaultEvent> events(rng.below(300));
+            for (FaultEvent &e : events) {
+                e.timeHours = rng.uniform() * 10 * kHoursPerYear;
+                // A lane fault taints every cell; keep them rare.
+                e.type = rng.below(1000) == 0
+                             ? FaultType::Lane
+                             : allFaultTypes()[rng.below(
+                                   kNumFaultTypes - 1)];
+                e.rank = static_cast<int>(rng.below(ranks));
+                e.bank = static_cast<int>(rng.below(banks));
+                e.half = static_cast<int>(rng.below(2));
+            }
+            FaultSampler::sortEvents(events);
+            std::vector<double> got(grid.size(), 0.0);
+            addAffectedFractions(geom, events, grid, got);
+
+            std::vector<bool> tainted(cells, false);
+            std::uint64_t small_pages = 0;
+            std::size_t next = 0;
+            for (std::size_t p = 0; p < grid.size(); ++p) {
+                for (; next < events.size() &&
+                       events[next].timeHours <= grid[p] * kHoursPerYear;
+                     ++next) {
+                    const FaultEvent &e = events[next];
+                    if (e.type == FaultType::Row)
+                        small_pages += geom.pagesPerRow;
+                    if (e.type == FaultType::Word ||
+                        e.type == FaultType::Bit)
+                        small_pages += 1;
+                    for (int r = 0; r < ranks; ++r)
+                        for (int b = 0; b < banks; ++b)
+                            for (int h = 0; h < 2; ++h) {
+                                const bool hit =
+                                    e.type == FaultType::Lane ||
+                                    (e.type == FaultType::Device &&
+                                     r == e.rank) ||
+                                    (e.type == FaultType::Bank &&
+                                     r == e.rank && b == e.bank) ||
+                                    (e.type == FaultType::Column &&
+                                     r == e.rank && b == e.bank &&
+                                     h == e.half);
+                                if (hit)
+                                    tainted[(r * banks + b) * 2 + h] = true;
+                            }
+                }
+                const auto marked = static_cast<double>(
+                    std::count(tainted.begin(), tainted.end(), true));
+                const double expect = std::min(
+                    1.0, marked / static_cast<double>(cells) +
+                             static_cast<double>(small_pages) /
+                                 static_cast<double>(geom.pages));
+                EXPECT_EQ(got[p], expect) << "year " << grid[p];
+            }
+        }
+    }
 }
 
 // --- lifetime Monte Carlo ----------------------------------------------

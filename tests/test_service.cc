@@ -105,6 +105,9 @@ TEST(ServiceRequest, RejectsWithoutFatal)
         "{\"kind\":\"campaign\",\"epoch_trials\":4,"
         "\"shard_trials\":8}",
         "{\"kind\":\"campaign\",\"years\":0}",
+        "{\"kind\":\"campaign\",\"channels\":1,\"boost\":1e9,"
+        "\"years\":1000}",
+        "{\"kind\":\"campaign\",\"boost\":140000,\"years\":20}",
         "{\"kind\":\"trace\"}",
         "{\"kind\":\"trace\",\"paths\":[\"/nonexistent/a\","
         "\"/nonexistent/b\",\"/nonexistent/c\",\"/nonexistent/d\"]}",
