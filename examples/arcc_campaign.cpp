@@ -30,8 +30,9 @@
  *                 [--max-epochs N] [--checkpoint PATH] [--quiet]
  *                 [--workers N] [--worker-id K] [--merge]
  *
- * Exit status: 0 campaign complete, 1 bad usage or fatal error,
- * 3 interrupted by signal (resume by re-running).
+ * Exit status: 0 campaign complete, 1 bad usage or fatal error (with
+ * --workers, also when any worker fails), 3 interrupted by signal
+ * (resume by re-running).
  */
 
 #include <cerrno>
@@ -170,6 +171,8 @@ fanOut(const CampaignSpec &spec, const WorkerPlan &plan,
        const std::string &checkpointBase, std::uint64_t maxEpochs,
        bool quiet)
 {
+    // Children inherit stdio buffers: flush so each line prints once.
+    std::fflush(stdout);
     std::vector<pid_t> children(plan.workers(), -1);
     for (std::uint32_t id = 0; id < plan.workers(); ++id) {
         const pid_t pid = fork();
@@ -189,7 +192,10 @@ fanOut(const CampaignSpec &spec, const WorkerPlan &plan,
         children[id] = pid;
     }
 
-    bool all_ok = true;
+    // Reap every child.  One that exited 3 or died by a signal left a
+    // log the same command resumes; any other nonzero exit is a
+    // failure that re-running would only repeat.
+    bool interrupted = false, failed = false;
     for (std::uint32_t id = 0; id < plan.workers(); ++id) {
         int status = 0;
         while (waitpid(children[id], &status, 0) < 0) {
@@ -202,10 +208,17 @@ fanOut(const CampaignSpec &spec, const WorkerPlan &plan,
                     if (c > 0)
                         kill(c, SIGTERM);
         }
-        if (!WIFEXITED(status) || WEXITSTATUS(status) != 0)
-            all_ok = false;
+        if (!WIFEXITED(status) || WEXITSTATUS(status) == 3) {
+            interrupted = true;
+        } else if (WEXITSTATUS(status) != 0) {
+            std::fprintf(stderr, "worker %u/%u failed (exit status %d)\n",
+                         id, plan.workers(), WEXITSTATUS(status));
+            failed = true;
+        }
     }
-    if (!all_ok) {
+    if (failed)
+        return 1;
+    if (interrupted) {
         std::fprintf(stderr,
                      "fan-out interrupted; re-run the same command "
                      "to resume the unfinished workers and merge\n");

@@ -238,7 +238,7 @@ CampaignDriver::runTrials(std::uint64_t begin, std::uint64_t end) const
         {spec_.devicesPerGroup, spec_.rowsPerBank, spec_.colsPerBank});
     const double end_of_life[] = {spec_.years};
 
-    Trial trial;
+    Trial &trial = Trial::forThisThread();
     for (std::uint64_t t = begin; t < end; ++t) {
         kernel.draw(t, trial);
         double frac = 0.0;

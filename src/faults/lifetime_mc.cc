@@ -32,7 +32,7 @@ fleetAverage(const LifetimeMcConfig &config, SimEngine &engine,
         SimEngine::kDefaultShard, std::vector<double>(points, 0.0),
         [&](const ShardRange &shard) {
             std::vector<double> partial(points, 0.0);
-            Trial trial;
+            Trial &trial = Trial::forThisThread();
             for (std::uint64_t c = shard.begin; c < shard.end; ++c) {
                 kernel.draw(c, trial);
                 observe(trial.events, partial);

@@ -67,6 +67,13 @@ TrialKernel::TrialKernel(const DomainGeometry &geom,
     groups_ = geom.totalDevices() / layout_.devicesPerGroup;
 }
 
+Trial &
+Trial::forThisThread()
+{
+    static thread_local Trial trial;
+    return trial;
+}
+
 void
 TrialKernel::draw(std::uint64_t trial, Trial &out) const
 {

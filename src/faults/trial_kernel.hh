@@ -94,6 +94,16 @@ struct Trial
     std::vector<ConcreteFault> faults;
     EventSortScratch sort;
     GroupedFaults grouped;
+
+    /**
+     * The calling thread's Trial, which the engine-sharded trial loops
+     * (LifetimeMc, SdcModel::mcArccSdcEventsDetailed,
+     * CampaignDriver::runTrials) draw into, so its buffers grow once
+     * per thread rather than once per shard.  Not re-entrant: a loop
+     * holding it must not run another loop that draws into it on the
+     * same thread.
+     */
+    static Trial &forThisThread();
 };
 
 /** Draws the trials of one experiment; trial t is a pure function of

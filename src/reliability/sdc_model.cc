@@ -189,7 +189,7 @@ SdcModel::mcArccSdcEventsDetailed(double years, double boost,
         McSdcResult{},
         [&](const ShardRange &shard) {
             McSdcResult partial;
-            Trial trial;
+            Trial &trial = Trial::forThisThread();
             for (std::uint64_t t = shard.begin; t < shard.end; ++t) {
                 kernel.draw(t, trial);
                 const std::uint64_t events =

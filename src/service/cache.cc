@@ -19,13 +19,25 @@ bool
 ResponseCache::get(const std::string &key, std::string &out)
 {
     std::lock_guard<std::mutex> lock(mutex_);
+    const bool hit = find(key, out);
+    ++(hit ? hits_ : misses_);
+    return hit;
+}
+
+bool
+ResponseCache::getUncounted(const std::string &key, std::string &out)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return find(key, out);
+}
+
+bool
+ResponseCache::find(const std::string &key, std::string &out)
+{
     const auto it = index_.find(key);
-    if (it == index_.end()) {
-        ++misses_;
+    if (it == index_.end())
         return false;
-    }
     lru_.splice(lru_.begin(), lru_, it->second);
-    ++hits_;
     out = it->second->second;
     return true;
 }

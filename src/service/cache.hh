@@ -48,6 +48,10 @@ class ResponseCache
      */
     bool get(const std::string &key, std::string &out);
 
+    /** get() without touching the hit / miss counters: a second look
+     *  at a key whose counted lookup already missed. */
+    bool getUncounted(const std::string &key, std::string &out);
+
     /** Insert (or refresh) `key` -> `value`, evicting LRU entries
      *  until both budgets hold.  A value larger than maxBytes on its
      *  own is simply not cached. */
@@ -62,6 +66,8 @@ class ResponseCache
   private:
     using Entry = std::pair<std::string, std::string>;
 
+    /** Look up and refresh `key` (mutex_ held). */
+    bool find(const std::string &key, std::string &out);
     /** Drop LRU entries until the budgets hold (mutex_ held). */
     void shrink();
 

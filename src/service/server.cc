@@ -9,6 +9,7 @@
 #include <cstring>
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -27,24 +28,39 @@ errorLine(const std::string &message)
     return "{\"ok\":false,\"error\":" + json::quote(message) + "}";
 }
 
-/** Write all of `data` + '\n'; false when the peer is gone. */
-bool
-sendLine(int fd, const std::string &data)
+/**
+ * Send `body` and its '\n' as one message over two buffers (no copy).
+ * Blocks until all of it is sent, unless `dontWait`: then it stops
+ * where the socket is full.
+ * @return the bytes of `body` + '\n' sent; -1 when the peer is gone.
+ */
+ssize_t
+sendLine(int fd, const std::string &body, bool dontWait)
 {
-    std::string out = data;
-    out.push_back('\n');
+    static char newline = '\n';
+    const std::size_t total = body.size() + 1;
     std::size_t sent = 0;
-    while (sent < out.size()) {
-        const ssize_t n = ::send(fd, out.data() + sent,
-                                 out.size() - sent, MSG_NOSIGNAL);
-        if (n <= 0) {
-            if (n < 0 && errno == EINTR)
-                continue;
-            return false;
-        }
+    while (sent < total) {
+        iovec iov[2];
+        int parts = 0;
+        if (sent < body.size())
+            iov[parts++] = {const_cast<char *>(body.data()) + sent,
+                            body.size() - sent};
+        iov[parts++] = {&newline, 1};
+        msghdr msg{};
+        msg.msg_iov = iov;
+        msg.msg_iovlen = static_cast<std::size_t>(parts);
+        const ssize_t n = ::sendmsg(
+            fd, &msg, MSG_NOSIGNAL | (dontWait ? MSG_DONTWAIT : 0));
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n < 0 && dontWait && (errno == EAGAIN || errno == EWOULDBLOCK))
+            break;
+        if (n <= 0)
+            return -1;
         sent += static_cast<std::size_t>(n);
     }
-    return true;
+    return static_cast<ssize_t>(sent);
 }
 
 } // anonymous namespace
@@ -147,7 +163,7 @@ ArccdServer::readerLoop(const std::shared_ptr<Connection> &conn)
             const std::size_t nl = pending.find('\n', start);
             if (nl == std::string::npos)
                 break;
-            std::string line = pending.substr(start, nl - start);
+            const std::string line = pending.substr(start, nl - start);
             start = nl + 1;
             if (line.empty())
                 continue;
@@ -156,34 +172,32 @@ ArccdServer::readerLoop(const std::shared_ptr<Connection> &conn)
                 std::lock_guard<std::mutex> lock(conn->mutex);
                 seq = conn->submitted++;
             }
-            service_.submit(
-                conn->clientId, std::move(line),
-                [conn, seq](const ServiceResponse &r) {
-                    {
-                        std::lock_guard<std::mutex> lock(conn->mutex);
-                        conn->completed.emplace(seq, r);
-                    }
-                    conn->ready.notify_all();
-                });
+            SimService::Admission admission = service_.admit(line);
+            if (admission.answer) {
+                answer(*conn, seq, std::move(*admission.answer));
+                continue;
+            }
+            service_.enqueue(conn->clientId, std::move(admission),
+                             [conn, seq](const ServiceResponse &r) {
+                                 park(*conn, seq, r);
+                             });
         }
         pending.erase(0, start);
 
         if (pending.size() > options_.maxLineBytes) {
-            // Park the rejection in the reorder buffer like any
-            // response, then stop reading this connection.
+            // Answer the rejection in its slot like any response,
+            // then stop reading this connection.
+            std::uint64_t seq;
             {
                 std::lock_guard<std::mutex> lock(conn->mutex);
-                const std::uint64_t seq = conn->submitted++;
-                conn->completed.emplace(
-                    seq,
-                    ServiceResponse{
-                        errorLine("request line exceeds " +
-                                  std::to_string(
-                                      options_.maxLineBytes) +
-                                  " bytes"),
-                        false});
+                seq = conn->submitted++;
             }
-            conn->ready.notify_all();
+            answer(*conn, seq,
+                   ServiceResponse{
+                       errorLine("request line exceeds " +
+                                 std::to_string(options_.maxLineBytes) +
+                                 " bytes"),
+                       false});
             break;
         }
     }
@@ -196,6 +210,56 @@ ArccdServer::readerLoop(const std::shared_ptr<Connection> &conn)
 }
 
 void
+ArccdServer::answer(Connection &conn, std::uint64_t seq,
+                    ServiceResponse response)
+{
+    {
+        std::lock_guard<std::mutex> lock(conn.mutex);
+        if (conn.sending || conn.written != seq) {
+            // An earlier response is still owed or being sent; the
+            // writer sends this one after it.
+            conn.completed.emplace(seq, std::move(response));
+            return;
+        }
+        conn.sending = true;
+    }
+    // Nothing else is owed on this connection: every earlier response
+    // is sent and the next line is not read yet.
+    const ssize_t n = sendLine(conn.fd, response.body, /*dontWait=*/true);
+    if (n >= 0 && static_cast<std::size_t>(n) <= response.body.size()) {
+        // The socket is full: the writer sends the rest.
+        response.body.erase(0, static_cast<std::size_t>(n));
+        {
+            std::lock_guard<std::mutex> lock(conn.mutex);
+            conn.sending = false;
+        }
+        park(conn, seq, std::move(response));
+        return;
+    }
+    {
+        std::lock_guard<std::mutex> lock(conn.mutex);
+        ++conn.written;
+        conn.sending = false;
+    }
+    if (response.shutdown)
+        requestShutdown();
+}
+
+void
+ArccdServer::park(Connection &conn, std::uint64_t seq,
+                  ServiceResponse response)
+{
+    bool next;
+    {
+        std::lock_guard<std::mutex> lock(conn.mutex);
+        next = seq == conn.written && !conn.sending;
+        conn.completed.emplace(seq, std::move(response));
+    }
+    if (next)
+        conn.ready.notify_one();
+}
+
+void
 ArccdServer::writerLoop(const std::shared_ptr<Connection> &conn)
 {
     for (;;) {
@@ -203,7 +267,8 @@ ArccdServer::writerLoop(const std::shared_ptr<Connection> &conn)
         {
             std::unique_lock<std::mutex> lock(conn->mutex);
             conn->ready.wait(lock, [&conn] {
-                return conn->completed.count(conn->written) > 0 ||
+                return (!conn->sending &&
+                        conn->completed.count(conn->written) > 0) ||
                        (conn->closed &&
                         conn->written == conn->submitted);
             });
@@ -212,11 +277,16 @@ ArccdServer::writerLoop(const std::shared_ptr<Connection> &conn)
                 return; // closed and fully drained.
             response = std::move(it->second);
             conn->completed.erase(it);
-            ++conn->written;
+            conn->sending = true;
         }
         // A vanished peer still drains the buffer (callbacks keep
         // landing); the bytes just have nowhere to go.
-        sendLine(conn->fd, response.body);
+        sendLine(conn->fd, response.body, /*dontWait=*/false);
+        {
+            std::lock_guard<std::mutex> lock(conn->mutex);
+            ++conn->written;
+            conn->sending = false;
+        }
         if (response.shutdown)
             requestShutdown();
     }

@@ -6,14 +6,30 @@
  * accepted connection is one fair-queueing client and gets two
  * threads:
  *
- *  - a *reader* that splits the byte stream into request lines and
- *    submits each to the service immediately, so a client may
- *    pipeline any number of requests without waiting;
- *  - a *writer* that delivers responses strictly in request order.
- *    Workers complete out of order; completions park in a
+ *  - a *reader* that splits the byte stream into request lines, so a
+ *    client may pipeline any number of requests without waiting, and
+ *    admits each one on the spot (SimService::admit: the line's one
+ *    parse and its one counted cache lookup).  A line that needs no
+ *    simulation -- a cache hit, a malformed line, stats, shutdown --
+ *    is answered by the reader itself: it sends the response when
+ *    every earlier response has been sent and nobody holds the send
+ *    token, and parks it otherwise.  A miss enters the service's fair
+ *    queue already parsed, and its worker parks the response.
+ *  - a *writer* that sends parked responses strictly in request
+ *    order.  Workers complete out of order; responses wait in a
  *    per-connection reorder buffer keyed by the request's sequence
- *    number until their turn.  One line in, one line out, order
- *    preserved -- that is the whole wire contract.
+ *    number until their turn, and the writer is woken only when a
+ *    parked response becomes the next one to send.
+ *
+ * The send token (Connection::sending) lets one thread at a time
+ * write to the socket, so the bytes of two responses never
+ * interleave.  The reader sends without waiting and parks whatever a
+ * full socket did not take for the writer to finish, so a client that
+ * pipelines without reading never stalls the reader.  A closed-loop
+ * client's hit thus costs two thread hand-offs (client -> reader ->
+ * client), where a miss takes the reader, a worker and the writer.
+ * One line in, one line out, order preserved -- that is the whole
+ * wire contract.
  *
  * A "shutdown" request is acknowledged in order like any response;
  * after writing the ack the server's shutdown latch trips, waking
@@ -86,11 +102,18 @@ class ArccdServer
         std::thread writer;
 
         std::mutex mutex;
+        /** Signalled when the response at `written` is parked while
+         *  nobody sends, and when the reader closes. */
         std::condition_variable ready;
-        /** Out-of-order completions parked by sequence number. */
+        /** Responses waiting for their turn, by sequence number (a
+         *  response the reader could send only in part waits here
+         *  with the bytes still to send). */
         std::map<std::uint64_t, ServiceResponse> completed;
         std::uint64_t submitted = 0;
+        /** Sequence number of the next response to send. */
         std::uint64_t written = 0;
+        /** The send token: a thread is writing response `written`. */
+        bool sending = false;
         /** Reader saw EOF / error; writer drains and exits. */
         bool closed = false;
     };
@@ -98,6 +121,13 @@ class ArccdServer
     void acceptLoop();
     void readerLoop(const std::shared_ptr<Connection> &conn);
     void writerLoop(const std::shared_ptr<Connection> &conn);
+    /** Reader: send response `seq` now if it is next and the token is
+     *  free, else park it. */
+    void answer(Connection &conn, std::uint64_t seq,
+                ServiceResponse response);
+    /** Park response `seq`, waking the writer if it is next. */
+    static void park(Connection &conn, std::uint64_t seq,
+                     ServiceResponse response);
     void requestShutdown();
 
     Options options_;

@@ -88,21 +88,52 @@ SimService::~SimService()
     }
 }
 
-void
-SimService::submit(std::uint64_t clientId, std::string line,
-                   Callback done)
+SimService::Admission
+SimService::admit(const std::string &line)
 {
     {
         std::lock_guard<std::mutex> lock(statMutex_);
         ++received_;
     }
+    Admission out;
+    std::string error;
+    if (!ServiceRequest::parse(line, out.request, error)) {
+        {
+            std::lock_guard<std::mutex> lock(statMutex_);
+            ++errors_;
+        }
+        out.answer = ServiceResponse{errorBody(error), false};
+        return out;
+    }
+    if (out.request.kind == ServiceRequestKind::Stats) {
+        out.answer = ServiceResponse{statsBody(), false};
+    } else if (out.request.kind == ServiceRequestKind::Shutdown) {
+        out.answer =
+            ServiceResponse{"{\"ok\":true,\"kind\":\"shutdown\"}", true};
+    } else {
+        out.key = out.request.canonical();
+        std::string cached;
+        if (!cache_.get(out.key, cached))
+            return out;
+        out.answer = ServiceResponse{std::move(cached), false};
+    }
+    std::lock_guard<std::mutex> lock(statMutex_);
+    ++ok_;
+    return out;
+}
+
+void
+SimService::enqueue(std::uint64_t clientId, Admission miss, Callback done)
+{
+    ARCC_ASSERT(!miss.answer);
     {
         std::lock_guard<std::mutex> lock(queueMutex_);
         if (!stopping_) {
             std::deque<Job> &queue = queues_[clientId];
             if (queue.empty())
                 ring_.push_back(clientId);
-            queue.push_back(Job{std::move(line), std::move(done)});
+            queue.push_back(Job{std::move(miss.request),
+                                std::move(miss.key), std::move(done)});
             queueReady_.notify_one();
             return;
         }
@@ -114,18 +145,30 @@ SimService::submit(std::uint64_t clientId, std::string line,
     done(ServiceResponse{errorBody("service stopped"), false});
 }
 
+void
+SimService::submit(std::uint64_t clientId, const std::string &line,
+                   Callback done)
+{
+    Admission admission = admit(line);
+    if (admission.answer)
+        done(*admission.answer);
+    else
+        enqueue(clientId, std::move(admission), std::move(done));
+}
+
 ServiceResponse
 SimService::evaluate(const std::string &line)
 {
-    {
-        std::lock_guard<std::mutex> lock(statMutex_);
-        ++received_;
-    }
+    Admission admission = admit(line);
+    if (admission.answer)
+        return std::move(*admission.answer);
+    // A coalesced miss is answered by whichever thread computes it.
     std::promise<ServiceResponse> promise;
     std::future<ServiceResponse> future = promise.get_future();
-    process(line, [&promise](const ServiceResponse &r) {
-        promise.set_value(r);
-    });
+    process(admission.request, admission.key,
+            [&promise](const ServiceResponse &r) {
+                promise.set_value(r);
+            });
     return future.get();
 }
 
@@ -163,7 +206,7 @@ SimService::workerLoop()
             if (!popJob(job))
                 continue;
         }
-        process(job.line, job.done);
+        process(job.request, job.key, job.done);
     }
 }
 
@@ -186,43 +229,13 @@ SimService::popJob(Job &out)
 }
 
 void
-SimService::process(const std::string &line, const Callback &done)
+SimService::process(const ServiceRequest &req, const std::string &key,
+                    const Callback &done)
 {
-    ServiceRequest req;
-    std::string error;
-    if (!ServiceRequest::parse(line, req, error)) {
-        {
-            std::lock_guard<std::mutex> lock(statMutex_);
-            ++errors_;
-        }
-        done(ServiceResponse{errorBody(error), false});
-        return;
-    }
-
-    if (req.kind == ServiceRequestKind::Stats) {
-        const std::string body = statsBody();
-        {
-            std::lock_guard<std::mutex> lock(statMutex_);
-            ++ok_;
-        }
-        done(ServiceResponse{body, false});
-        return;
-    }
-    if (req.kind == ServiceRequestKind::Shutdown) {
-        {
-            std::lock_guard<std::mutex> lock(statMutex_);
-            ++ok_;
-        }
-        done(ServiceResponse{"{\"ok\":true,\"kind\":\"shutdown\"}",
-                             true});
-        return;
-    }
-
-    const std::string key = req.canonical();
     {
         std::lock_guard<std::mutex> lock(flightMutex_);
         std::string cached;
-        if (cache_.get(key, cached)) {
+        if (cache_.getUncounted(key, cached)) {
             {
                 std::lock_guard<std::mutex> slock(statMutex_);
                 ++ok_;

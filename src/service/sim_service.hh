@@ -5,11 +5,20 @@
  * One SimService owns the response cache, the singleflight table, and
  * a small pool of evaluation workers in front of a shared SimEngine.
  * The socket server (service/server.hh) is a thin framing layer over
- * `submit`; tests call `evaluate` directly -- same path, no sockets.
+ * `admit` and `enqueue`; tests call `evaluate` and `submit` directly
+ * -- same path, no sockets.
+ *
+ * ## One parse, on the receiving thread
+ *
+ * `admit` parses a line once, on the thread that received it, and
+ * answers it there when it needs no simulation: a malformed line, a
+ * `stats` or `shutdown` request, or a cache hit.  Only a miss goes on
+ * to a worker, carrying its parsed request and canonical key, so a
+ * hit never waits behind the queue and is never parsed twice.
  *
  * ## Fair queueing
  *
- * Every client gets its own FIFO; workers pick the next job
+ * Every client gets its own FIFO of misses; workers pick the next job
  * round-robin over the non-empty FIFOs.  A client that pipelines a
  * thousand requests therefore delays another client by at most one
  * in-flight request per worker, while each client's own requests
@@ -20,10 +29,14 @@
  * ## Memoization and singleflight
  *
  * Sim responses are memoized in a ResponseCache keyed by the
- * canonical request string.  Identical requests *in flight* are
- * coalesced: the first computes, later arrivals park their callbacks
- * on the flight and are answered from the one computation (counted as
- * `coalesced`, and their worker moves on instead of blocking).
+ * canonical request string.  `admit`'s lookup is the one counted
+ * lookup: every sim request counts once, as a hit or a miss.  A
+ * worker looks again, uncounted, so a response cached while the miss
+ * waited is served rather than recomputed.  Identical requests *in
+ * flight* are coalesced: the first computes, later arrivals park
+ * their callbacks on the flight and are answered from the one
+ * computation (counted as `coalesced`, and their worker moves on
+ * instead of blocking).
  *
  * ## Determinism contract
  *
@@ -45,6 +58,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -96,10 +110,24 @@ class SimService
         SimEngine *engine = nullptr;
     };
 
-    /** Fires exactly once per submitted request, from a worker
-     *  thread.  Must not block for long and must not re-enter the
-     *  service. */
+    /** Fires exactly once per queued miss, from a worker thread (or
+     *  from the destructor, with an error, if the service stops
+     *  first); submit() also calls it on the calling thread for a line
+     *  admit() answered.  Must not block for long and must not
+     *  re-enter the service. */
     using Callback = std::function<void(const ServiceResponse &)>;
+
+    /** One request line after its single parse. */
+    struct Admission
+    {
+        /** The answer, when the line needs no simulation: malformed,
+         *  stats, shutdown or a cache hit. */
+        std::optional<ServiceResponse> answer;
+        /** Otherwise the parsed sim request that missed the cache,
+         *  and its canonical form (the cache key). */
+        ServiceRequest request;
+        std::string key;
+    };
 
     SimService() : SimService(Options()) {}
     explicit SimService(const Options &options);
@@ -109,17 +137,33 @@ class SimService
     ~SimService();
 
     /**
-     * Enqueue one request line on `clientId`'s FIFO.
+     * Parse and count one request line on the calling thread, and
+     * answer it if it needs no simulation.  A sim request's cache
+     * lookup here is its one counted lookup.
+     * @return an admission with `answer` set, or a miss for enqueue()
+     *         (or for the calling thread to compute, as evaluate()
+     *         does).
+     */
+    Admission admit(const std::string &line);
+
+    /**
+     * Queue a miss from admit() on `clientId`'s FIFO; a worker starts
+     * it at singleflight.
      * @param clientId fair-queueing identity (one per connection).
-     * @param line     raw request line (parsed on a worker).
+     * @param miss     an admission without `answer`.
      * @param done     completion callback; see Callback.
      */
-    void submit(std::uint64_t clientId, std::string line,
+    void enqueue(std::uint64_t clientId, Admission miss, Callback done);
+
+    /** admit() then, on a miss, enqueue(): `done` fires exactly once,
+     *  on the calling thread before submit() returns when admit()
+     *  answered the line. */
+    void submit(std::uint64_t clientId, const std::string &line,
                 Callback done);
 
     /** Synchronous evaluation on the calling thread -- the full
-     *  memoized/coalesced path minus the client FIFOs.  The calling
-     *  thread does the compute on a miss. */
+     *  memoized/coalesced path minus the client FIFOs.  A hit returns
+     *  from admit(); the calling thread does the compute on a miss. */
     ServiceResponse evaluate(const std::string &line);
 
     ServiceStats stats() const;
@@ -127,7 +171,8 @@ class SimService
   private:
     struct Job
     {
-        std::string line;
+        ServiceRequest request;
+        std::string key;
         Callback done;
     };
 
@@ -141,9 +186,11 @@ class SimService
     void workerLoop();
     /** Pop the next job round-robin (queueMutex_ held). */
     bool popJob(Job &out);
-    /** Parse, memoize/coalesce, compute; fires `done` (and any
-     *  coalesced waiters) exactly once unless the job was parked. */
-    void process(const std::string &line, const Callback &done);
+    /** A miss from admit(): uncounted cache recheck, coalesce,
+     *  compute; fires `done` (and any coalesced waiters) exactly once
+     *  unless the job was parked on a flight. */
+    void process(const ServiceRequest &req, const std::string &key,
+                 const Callback &done);
     /** The uncached compute: simulate and serialize. */
     std::string computeBody(const ServiceRequest &req) const;
     std::string statsBody() const;

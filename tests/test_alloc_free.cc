@@ -47,6 +47,7 @@
 #include "ecc/reed_solomon.hh"
 #include "engine/sim_engine.hh"
 #include "faults/lifetime_mc.hh"
+#include "reliability/sdc_model.hh"
 
 namespace
 {
@@ -608,6 +609,56 @@ TEST(AllocFree, LifetimeMcAllocatesPerShardNotPerChannel)
     EXPECT_LT(overhead_long - overhead_short, 4096u - 256u)
         << overhead_short << " allocations over 256 channels, "
         << overhead_long << " over 4096";
+}
+
+TEST(AllocFree, TrialLoopsReuseTheThreadsTrialAcrossShards)
+{
+    // LifetimeMc and the SDC Monte Carlo draw every shard's trials
+    // into the engine thread's Trial, so once a first call has grown
+    // its buffers, a shard costs only its partial (LifetimeMc's curve
+    // vector; the SDC partial is plain counters) and its engine task,
+    // plus a share of the task queue's blocks: at most 2.5
+    // allocations.  Counted as the difference between a large and a
+    // small warm call, so per-call vectors cancel, at 100x rates
+    // (LifetimeMc) and boost 2000 (about 500 faults per SDC trial).  A
+    // Trial built per shard regrows its buffers in every shard (15 and
+    // 44 allocations) and fails this.
+    SimEngine engine(SimEngine::Options{1});
+    const auto allocationsIn = [](auto &&body) {
+        const std::uint64_t before =
+            g_allocs.load(std::memory_order_relaxed);
+        body();
+        return g_allocs.load(std::memory_order_relaxed) - before;
+    };
+    const auto extraPerShard = [&](int small, int large, auto run) {
+        run(large); // grows the Trial.
+        const std::uint64_t few = allocationsIn([&] { run(small); });
+        const std::uint64_t many = allocationsIn([&] { run(large); });
+        return static_cast<double>(many - few) /
+               static_cast<double>((large - small) /
+                                   SimEngine::kDefaultShard);
+    };
+
+    LifetimeMcConfig cfg;
+    cfg.rates = cfg.rates.scaled(100.0);
+    double affected = 0.0;
+    const double lifetime = extraPerShard(256, 4096, [&](int channels) {
+        cfg.channels = channels;
+        affected = LifetimeMc(cfg, &engine).affectedFraction()
+                       .avgFraction.back();
+    });
+    EXPECT_GT(affected, 0.0);
+    EXPECT_LE(lifetime, 2.5);
+
+    const SdcModel model(SdcModelConfig::arccMachine());
+    McSdcResult sdc;
+    const double mc = extraPerShard(128, 1024, [&](int trials) {
+        sdc = model.mcArccSdcEventsDetailed(7.0, 2000.0, trials, 99,
+                                            &engine);
+    });
+    EXPECT_GT(sdc.faultsSampled, 100u * sdc.trials);
+    EXPECT_GT(sdc.events, 0u);
+    EXPECT_LE(mc, 2.5);
 }
 
 /** Peak live heap bytes a callable adds above the level it starts at. */

@@ -14,7 +14,9 @@
 #include <string>
 #include <vector>
 
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -335,6 +337,22 @@ TEST_F(SimServiceTest, MemoizationServesByteIdenticalResponses)
     EXPECT_EQ(stats.cacheHits, 2u);
 }
 
+TEST_F(SimServiceTest, EvaluateCountsEachRequestOnce)
+{
+    // evaluate() looks a line up once: the miss computes, the repeat
+    // is a hit, and neither is counted again.
+    SimService service(opts_);
+    const std::string line = "{\"kind\":\"mix\",\"instrs\":5000}";
+    EXPECT_EQ(service.evaluate(line).body, service.evaluate(line).body);
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.cacheMisses, 1u);
+    EXPECT_EQ(stats.cacheHits, 1u);
+    EXPECT_EQ(stats.ok, 2u);
+    EXPECT_EQ(stats.received, 2u);
+    EXPECT_EQ(stats.coalesced, 0u);
+    EXPECT_EQ(stats.errors, 0u);
+}
+
 TEST_F(SimServiceTest, StatsRequestIsNeverMemoized)
 {
     SimService service(opts_);
@@ -394,7 +412,12 @@ class TestClient
             return false;
         std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
         fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        // A response that never comes fails the read instead of
+        // hanging the test.
+        const timeval timeout{20, 0};
         return fd_ >= 0 &&
+               ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                            sizeof timeout) == 0 &&
                ::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
                          sizeof addr) == 0;
     }
@@ -405,6 +428,28 @@ class TestClient
         const std::string out = line + "\n";
         return ::send(fd_, out.data(), out.size(), MSG_NOSIGNAL) ==
                static_cast<ssize_t>(out.size());
+    }
+
+    /** Send all of `bytes` without reading; false when the socket
+     *  takes nothing for `stallMs` (the daemon stopped reading). */
+    bool
+    sendAllWithin(const std::string &bytes, int stallMs)
+    {
+        std::size_t sent = 0;
+        while (sent < bytes.size()) {
+            pollfd p{fd_, POLLOUT, 0};
+            if (::poll(&p, 1, stallMs) <= 0)
+                return false;
+            const ssize_t n =
+                ::send(fd_, bytes.data() + sent, bytes.size() - sent,
+                       MSG_NOSIGNAL | MSG_DONTWAIT);
+            if (n < 0 && (errno == EINTR || errno == EAGAIN))
+                continue;
+            if (n <= 0)
+                return false;
+            sent += static_cast<std::size_t>(n);
+        }
+        return true;
     }
 
     bool
@@ -483,6 +528,109 @@ TEST_F(ServerTest, PipelinedRequestsComeBackInOrder)
     EXPECT_NE(responses[3].find("\"stats\""), std::string::npos);
     // Responses 0 and 2 are different requests -> different bodies.
     EXPECT_NE(responses[0], responses[2]);
+}
+
+TEST_F(ServerTest, HitsAndMissesInterleavedComeBackInTheirSlots)
+{
+    // The reader answers hits itself and a worker answers misses, so
+    // a hit pipelined behind a slow miss must wait for it: every
+    // response in its request's slot, whichever thread answered.
+    TestClient client;
+    ASSERT_TRUE(client.connect(server_->socketPath()));
+    const std::string hit = "{\"kind\":\"mix\",\"instrs\":5000}";
+    std::string warm;
+    ASSERT_TRUE(client.sendLine(hit));
+    ASSERT_TRUE(client.readLine(warm));
+    ASSERT_EQ(warm.rfind("{\"ok\":true", 0), 0u) << warm;
+
+    const std::string slowMiss =
+        "{\"kind\":\"mix\",\"mix\":\"Mix4\",\"instrs\":200000}";
+    const std::string miss =
+        "{\"kind\":\"mix\",\"mix\":\"Mix5\",\"instrs\":5000}";
+    const std::vector<std::string> lines = {
+        slowMiss, hit, "not json", hit, "{\"kind\":\"stats\"}", miss, hit,
+    };
+    for (const std::string &line : lines)
+        ASSERT_TRUE(client.sendLine(line));
+    std::vector<std::string> responses(lines.size());
+    for (std::string &r : responses)
+        ASSERT_TRUE(client.readLine(r));
+
+    SimService::Options opts;
+    opts.engine = engine_.get();
+    SimService fresh(opts);
+    EXPECT_EQ(responses[0], fresh.evaluate(slowMiss).body);
+    EXPECT_EQ(responses[1], warm);
+    EXPECT_EQ(responses[2].rfind("{\"ok\":false", 0), 0u) << responses[2];
+    EXPECT_EQ(responses[3], warm);
+    EXPECT_EQ(responses[4].rfind("{\"ok\":true,\"kind\":\"stats\"", 0),
+              0u)
+        << responses[4];
+    EXPECT_EQ(responses[5], fresh.evaluate(miss).body);
+    EXPECT_EQ(responses[6], warm);
+}
+
+TEST_F(ServerTest, EachRequestIsCountedOnce)
+{
+    // One miss, then nine pipelined copies of it: each is parsed and
+    // looked up once, by whichever thread answers it.
+    TestClient client;
+    ASSERT_TRUE(client.connect(server_->socketPath()));
+    const std::string line = "{\"kind\":\"mix\",\"instrs\":5000}";
+    std::string resp;
+    ASSERT_TRUE(client.sendLine(line));
+    ASSERT_TRUE(client.readLine(resp));
+    for (int i = 0; i < 9; ++i)
+        ASSERT_TRUE(client.sendLine(line));
+    for (int i = 0; i < 9; ++i)
+        ASSERT_TRUE(client.readLine(resp));
+    ASSERT_TRUE(client.sendLine("{\"kind\":\"stats\"}"));
+    ASSERT_TRUE(client.readLine(resp));
+
+    json::Value doc;
+    std::string err;
+    ASSERT_TRUE(json::parse(resp, doc, err)) << err;
+    const json::Value *stats = doc.find("stats");
+    ASSERT_NE(stats, nullptr) << resp;
+    const auto counter = [&](const char *name) {
+        const json::Value *v = stats->find(name);
+        return v && v->isUint ? v->uintValue : ~std::uint64_t{0};
+    };
+    EXPECT_EQ(counter("misses"), 1u) << resp;
+    EXPECT_EQ(counter("hits"), 9u) << resp;
+    EXPECT_EQ(counter("ok"), 10u) << resp;
+    EXPECT_EQ(counter("coalesced"), 0u) << resp;
+    EXPECT_EQ(counter("errors"), 0u) << resp;
+    EXPECT_EQ(counter("received"), 11u) << resp;
+}
+
+TEST_F(ServerTest, AClientThatPipelinesWithoutReadingIsNotStalled)
+{
+    // 20,000 hits (580 KB of requests, 13.7 MB of responses) sent
+    // before reading any response: more than the socket buffers hold
+    // either way.  The reader must keep reading while the responses
+    // back up, so the client's send completes and every response
+    // then arrives in order.
+    TestClient client;
+    ASSERT_TRUE(client.connect(server_->socketPath()));
+    const std::string hit = "{\"kind\":\"mix\",\"instrs\":5000}";
+    std::string warm;
+    ASSERT_TRUE(client.sendLine(hit));
+    ASSERT_TRUE(client.readLine(warm));
+
+    constexpr int kLines = 20000;
+    std::string burst;
+    for (int i = 0; i < kLines; ++i)
+        burst += hit + "\n";
+    ASSERT_TRUE(client.sendAllWithin(burst, /*stallMs=*/10000))
+        << "the daemon stopped reading a pipelining client";
+    int same = 0;
+    std::string resp;
+    for (int i = 0; i < kLines; ++i) {
+        ASSERT_TRUE(client.readLine(resp));
+        same += resp == warm;
+    }
+    EXPECT_EQ(same, kLines);
 }
 
 TEST_F(ServerTest, TwoClientsGetIdenticalAnswers)
