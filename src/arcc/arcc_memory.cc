@@ -252,12 +252,13 @@ ArccMemory::forEachSubLine(std::uint64_t group_base, const LineCodec &codec,
     // Sub-line s holds codec devices [s * dpr, (s + 1) * dpr): one
     // address decode per sub-line, then a walk down its rank's rows.
     const int dpr = config_.devicesPerRank;
+    const int devices = codec.devices();
     SubLine sl;
-    for (sl.first = 0; sl.first < codec.devices(); sl.first += dpr) {
+    for (sl.first = 0; sl.first < devices; sl.first += dpr) {
         sl.loc = locOf(group_base +
                        static_cast<std::uint64_t>(sl.first / dpr) *
                            kLineBytes);
-        sl.devices = std::min(dpr, codec.devices() - sl.first);
+        sl.devices = std::min(dpr, devices - sl.first);
         const std::size_t rank_row =
             (static_cast<std::size_t>(sl.loc.channel) *
                  config_.ranksPerChannel +
@@ -501,6 +502,8 @@ ArccMemory::accessBatch(std::span<const std::uint64_t> addrs,
     // decode.
     std::uint64_t cached_page = ~0ULL;
     PageMode mode = PageMode::Relaxed;
+    std::uint64_t group = 0;
+    bool soa = false;
     std::uint64_t cached_base = ~0ULL;
     for (std::size_t i = 0; i < addrs.size(); ++i) {
         const std::uint64_t addr = addrs[i];
@@ -508,10 +511,11 @@ ArccMemory::accessBatch(std::span<const std::uint64_t> addrs,
         const std::uint64_t page = pageOf(addr);
         if (page != cached_page) {
             mode = pageTable_.mode(page);
+            group = groupBytes(mode);
+            soa = codecFor(mode).soaCodec() != nullptr;
             cached_page = page;
             cached_base = ~0ULL; // group size may have changed.
         }
-        const std::uint64_t group = groupBytes(mode);
         const std::uint64_t base = addr & ~(group - 1);
         if (base != cached_base) {
             const std::size_t gi = ws.groups.size();
@@ -521,8 +525,7 @@ ArccMemory::accessBatch(std::span<const std::uint64_t> addrs,
             }
             gatherGroupInto(base, mode, ws.groupSlices[gi], /*overlay=*/true);
             erasedInto(base, mode, ws.line.erased);
-            const bool slow = codecFor(mode).soaCodec() == nullptr ||
-                              !ws.line.erased.empty();
+            const bool slow = !soa || !ws.line.erased.empty();
             ws.groups.push_back({base, mode, slow});
             cached_base = base;
         }

@@ -1,7 +1,8 @@
 /**
  * @file
- * GF(2^8) SIMD kernels: nibble-split shuffle implementations per ISA
- * tier, plus the runtime dispatch.
+ * GF(2^8) SIMD layer: tier detection, the ARCC_SIMD cap, and the one
+ * dispatched kernel, syndromeSoa's batched syndrome screen, with a
+ * nibble-split shuffle body per ISA tier beside its scalar tier.
  *
  * The x86 kernels are compiled with function-level target attributes
  * so the translation unit builds at the project's baseline -march
@@ -13,7 +14,6 @@
 
 #include "ecc/gf256_simd.hh"
 
-#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
@@ -70,7 +70,12 @@ detectTier()
 namespace
 {
 
-/** Apply the ARCC_SIMD environment cap to the detected tier. */
+/**
+ * Apply the ARCC_SIMD environment cap to the detected tier.  A value
+ * it does not know is fatal: a misspelt "off" that kept the vector
+ * tier would leave a run meant to test the scalar fallback testing
+ * nothing.
+ */
 Tier
 resolveTier()
 {
@@ -87,9 +92,12 @@ resolveTier()
     // Capping below the detected tier is allowed (e.g. ssse3 on an
     // AVX2 part); asking for more than the hardware has keeps the
     // detected tier.
-    if (v == "ssse3" && det == Tier::Avx2)
-        return Tier::Ssse3;
-    return det;
+    if (v == "ssse3")
+        return det == Tier::Avx2 ? Tier::Ssse3 : det;
+    if (v == "avx2" || v == "neon")
+        return det;
+    fatal("ARCC_SIMD=%s: need off, 0, scalar, false, ssse3, avx2 or "
+          "neon", env);
 }
 
 } // anonymous namespace
@@ -115,15 +123,6 @@ namespace
 {
 
 void
-mulConstScalar(std::uint8_t a, const std::uint8_t *in, std::uint8_t *out,
-               std::size_t len)
-{
-    const GF256::MulRow row = GF256::mulRow(a);
-    for (std::size_t i = 0; i < len; ++i)
-        out[i] = row(in[i]);
-}
-
-void
 syndromeSoaScalar(const std::uint8_t *soa, std::size_t stride,
                   int symbols, int lanes, const std::uint8_t *roots,
                   int rr, std::uint8_t *synd_soa, std::uint8_t *flags)
@@ -143,31 +142,6 @@ syndromeSoaScalar(const std::uint8_t *soa, std::size_t stride,
             flags[l] |= acc;
         }
     }
-}
-
-int
-chienScanScalar(const std::uint8_t *terms0, int psi_len, int n,
-                int max_roots, const std::uint8_t *lane_step,
-                int *err_pos)
-{
-    // The incremental scan of ReedSolomon::decodeCore: term j steps
-    // by alpha^j per position, which is lane_step[j * 16 + 1].
-    std::uint8_t terms[256];
-    std::memcpy(terms, terms0, static_cast<std::size_t>(psi_len));
-    int found = 0;
-    for (int i = 0; i < n; ++i) {
-        std::uint8_t v = 0;
-        for (int j = 0; j < psi_len; ++j)
-            v ^= terms[j];
-        if (v == 0 && found < max_roots)
-            err_pos[found++] = i;
-        if (found == max_roots || i + 1 == n)
-            break;
-        for (int j = 1; j < psi_len; ++j)
-            terms[j] = GF256::mul(terms[j],
-                                  lane_step[j * kLaneBlock + 1]);
-    }
-    return found;
 }
 
 } // anonymous namespace
@@ -190,26 +164,6 @@ mulVec128(__m128i lo_tbl, __m128i hi_tbl, __m128i x)
         _mm_and_si128(_mm_srli_epi16(x, 4), mask);
     return _mm_xor_si128(_mm_shuffle_epi8(lo_tbl, lo),
                          _mm_shuffle_epi8(hi_tbl, hi));
-}
-
-__attribute__((target("ssse3"))) void
-mulConstSsse3(std::uint8_t a, const std::uint8_t *in, std::uint8_t *out,
-              std::size_t len)
-{
-    const std::uint8_t *nib = GF256::nibRow(a);
-    const __m128i lo_tbl =
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(nib));
-    const __m128i hi_tbl =
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(nib + 16));
-    std::size_t i = 0;
-    for (; i + 16 <= len; i += 16) {
-        const __m128i x = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(in + i));
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(out + i),
-                         mulVec128(lo_tbl, hi_tbl, x));
-    }
-    if (i < len)
-        mulConstScalar(a, in + i, out + i, len - i);
 }
 
 __attribute__((target("ssse3"))) void
@@ -248,51 +202,6 @@ syndromeSoaSsse3(const std::uint8_t *soa, std::size_t stride,
     }
 }
 
-__attribute__((target("ssse3"))) int
-chienScanSsse3(const std::uint8_t *terms0, int psi_len, int n,
-               int max_roots, const std::uint8_t *lane_step,
-               const std::uint8_t *block_step, int *err_pos)
-{
-    if (max_roots == 0)
-        return 0;
-    // cur[j] tracks terms0[j] * block_step[j]^b across blocks.
-    std::uint8_t cur[256];
-    std::memcpy(cur, terms0, static_cast<std::size_t>(psi_len));
-    int found = 0;
-    for (int i0 = 0; i0 < n; i0 += kLaneBlock) {
-        __m128i acc = _mm_setzero_si128();
-        for (int j = 0; j < psi_len; ++j) {
-            if (cur[j] == 0)
-                continue;
-            const std::uint8_t *nib = GF256::nibRow(cur[j]);
-            const __m128i lo_tbl = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(nib));
-            const __m128i hi_tbl = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(nib + 16));
-            const __m128i lanes = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(
-                    lane_step + j * kLaneBlock));
-            acc = _mm_xor_si128(acc,
-                                mulVec128(lo_tbl, hi_tbl, lanes));
-        }
-        int mask = _mm_movemask_epi8(
-            _mm_cmpeq_epi8(acc, _mm_setzero_si128()));
-        const int limit = std::min(n - i0, kLaneBlock);
-        if (limit < kLaneBlock)
-            mask &= (1 << limit) - 1;
-        while (mask != 0) {
-            const int l = __builtin_ctz(static_cast<unsigned>(mask));
-            err_pos[found++] = i0 + l;
-            if (found == max_roots)
-                return found;
-            mask &= mask - 1;
-        }
-        for (int j = 1; j < psi_len; ++j)
-            cur[j] = GF256::mul(cur[j], block_step[j]);
-    }
-    return found;
-}
-
 __attribute__((target("avx2"))) inline __m256i
 mulVec256(__m256i lo_tbl, __m256i hi_tbl, __m256i x)
 {
@@ -302,26 +211,6 @@ mulVec256(__m256i lo_tbl, __m256i hi_tbl, __m256i x)
         _mm256_and_si256(_mm256_srli_epi16(x, 4), mask);
     return _mm256_xor_si256(_mm256_shuffle_epi8(lo_tbl, lo),
                             _mm256_shuffle_epi8(hi_tbl, hi));
-}
-
-__attribute__((target("avx2"))) void
-mulConstAvx2(std::uint8_t a, const std::uint8_t *in, std::uint8_t *out,
-             std::size_t len)
-{
-    const std::uint8_t *nib = GF256::nibRow(a);
-    const __m256i lo_tbl = _mm256_broadcastsi128_si256(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(nib)));
-    const __m256i hi_tbl = _mm256_broadcastsi128_si256(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(nib + 16)));
-    std::size_t i = 0;
-    for (; i + 32 <= len; i += 32) {
-        const __m256i x = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(in + i));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + i),
-                            mulVec256(lo_tbl, hi_tbl, x));
-    }
-    if (i < len)
-        mulConstSsse3(a, in + i, out + i, len - i);
 }
 
 __attribute__((target("avx2"))) void
@@ -389,20 +278,6 @@ mulVecNeon(uint8x16_t lo_tbl, uint8x16_t hi_tbl, uint8x16_t x)
 }
 
 void
-mulConstNeon(std::uint8_t a, const std::uint8_t *in, std::uint8_t *out,
-             std::size_t len)
-{
-    const std::uint8_t *nib = GF256::nibRow(a);
-    const uint8x16_t lo_tbl = vld1q_u8(nib);
-    const uint8x16_t hi_tbl = vld1q_u8(nib + 16);
-    std::size_t i = 0;
-    for (; i + 16 <= len; i += 16)
-        vst1q_u8(out + i, mulVecNeon(lo_tbl, hi_tbl, vld1q_u8(in + i)));
-    if (i < len)
-        mulConstScalar(a, in + i, out + i, len - i);
-}
-
-void
 syndromeSoaNeon(const std::uint8_t *soa, std::size_t stride,
                 int symbols, int lanes, const std::uint8_t *roots,
                 int rr, std::uint8_t *synd_soa, std::uint8_t *flags)
@@ -431,46 +306,6 @@ syndromeSoaNeon(const std::uint8_t *soa, std::size_t stride,
     }
 }
 
-int
-chienScanNeon(const std::uint8_t *terms0, int psi_len, int n,
-              int max_roots, const std::uint8_t *lane_step,
-              const std::uint8_t *block_step, int *err_pos)
-{
-    if (max_roots == 0)
-        return 0;
-    std::uint8_t cur[256];
-    std::memcpy(cur, terms0, static_cast<std::size_t>(psi_len));
-    int found = 0;
-    for (int i0 = 0; i0 < n; i0 += kLaneBlock) {
-        uint8x16_t acc = vdupq_n_u8(0);
-        for (int j = 0; j < psi_len; ++j) {
-            if (cur[j] == 0)
-                continue;
-            const std::uint8_t *nib = GF256::nibRow(cur[j]);
-            acc = veorq_u8(acc,
-                           mulVecNeon(vld1q_u8(nib), vld1q_u8(nib + 16),
-                                      vld1q_u8(lane_step +
-                                               j * kLaneBlock)));
-        }
-        // A zero byte marks a root; scan the two 64-bit halves with
-        // the eq-mask trick (0xff per zero byte).
-        const uint8x16_t eq = vceqq_u8(acc, vdupq_n_u8(0));
-        const int limit = std::min(n - i0, kLaneBlock);
-        std::uint64_t half[2];
-        vst1q_u8(reinterpret_cast<std::uint8_t *>(half), eq);
-        for (int l = 0; l < limit; ++l) {
-            if ((half[l / 8] >> ((l % 8) * 8)) & 0xff) {
-                err_pos[found++] = i0 + l;
-                if (found == max_roots)
-                    return found;
-            }
-        }
-        for (int j = 1; j < psi_len; ++j)
-            cur[j] = GF256::mul(cur[j], block_step[j]);
-    }
-    return found;
-}
-
 } // anonymous namespace
 
 #endif // ARCC_SIMD_NEON
@@ -478,37 +313,6 @@ chienScanNeon(const std::uint8_t *terms0, int psi_len, int n,
 // ---------------------------------------------------------------------
 // Dispatch.
 // ---------------------------------------------------------------------
-
-void
-mulConstAt(simd::Tier t, std::uint8_t a, const std::uint8_t *in,
-           std::uint8_t *out, std::size_t len)
-{
-    switch (t) {
-#if defined(ARCC_SIMD_X86)
-      case simd::Tier::Avx2:
-        mulConstAvx2(a, in, out, len);
-        return;
-      case simd::Tier::Ssse3:
-        mulConstSsse3(a, in, out, len);
-        return;
-#endif
-#if defined(ARCC_SIMD_NEON)
-      case simd::Tier::Neon:
-        mulConstNeon(a, in, out, len);
-        return;
-#endif
-      default:
-        mulConstScalar(a, in, out, len);
-        return;
-    }
-}
-
-void
-mulConst(std::uint8_t a, const std::uint8_t *in, std::uint8_t *out,
-         std::size_t len)
-{
-    mulConstAt(simd::activeTier(), a, in, out, len);
-}
 
 void
 syndromeSoaAt(simd::Tier t, const std::uint8_t *soa, std::size_t stride,
@@ -548,42 +352,6 @@ syndromeSoa(const std::uint8_t *soa, std::size_t stride, int symbols,
 {
     syndromeSoaAt(simd::activeTier(), soa, stride, symbols, lanes,
                   roots, rr, synd_soa, flags);
-}
-
-int
-chienScanAt(simd::Tier t, const std::uint8_t *terms0, int psi_len,
-            int n, int max_roots, const std::uint8_t *lane_step,
-            const std::uint8_t *block_step, int *err_pos)
-{
-    ARCC_ASSERT(psi_len <= 256);
-    switch (t) {
-#if defined(ARCC_SIMD_X86)
-      case simd::Tier::Avx2:
-      case simd::Tier::Ssse3:
-        // One codeword's scan never exceeds n <= 255 positions; the
-        // 16-point SSSE3 block is the sweet spot for both x86 tiers.
-        return chienScanSsse3(terms0, psi_len, n, max_roots, lane_step,
-                              block_step, err_pos);
-#endif
-#if defined(ARCC_SIMD_NEON)
-      case simd::Tier::Neon:
-        return chienScanNeon(terms0, psi_len, n, max_roots, lane_step,
-                             block_step, err_pos);
-#endif
-      default:
-        (void)block_step; // scalar steps one position at a time.
-        return chienScanScalar(terms0, psi_len, n, max_roots,
-                               lane_step, err_pos);
-    }
-}
-
-int
-chienScan(const std::uint8_t *terms0, int psi_len, int n, int max_roots,
-          const std::uint8_t *lane_step, const std::uint8_t *block_step,
-          int *err_pos)
-{
-    return chienScanAt(simd::activeTier(), terms0, psi_len, n,
-                       max_roots, lane_step, block_step, err_pos);
 }
 
 void

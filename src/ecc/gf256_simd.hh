@@ -1,10 +1,11 @@
 /**
  * @file
- * Vectorized GF(2^8) kernels over codeword-transposed (SoA) batches.
+ * The vectorized GF(2^8) syndrome screen over codeword-transposed
+ * (SoA) batches.
  *
  * The scalar decoder is bound by one L1 load per field multiply; the
  * only data-level parallelism a single codeword offers is the handful
- * of syndrome chains.  These kernels flip the layout instead: a batch
+ * of syndrome chains.  The screen flips the layout instead: a batch
  * of up to RsWorkspace::kSoaLanes codewords is stored transposed,
  *
  *     soa[symbol * stride + lane]
@@ -17,14 +18,15 @@
  *
  *     a * x == nibRow(a)[x & 0xf] ^ nibRow(a)[16 + (x >> 4)]
  *
- * All kernels dispatch on simd::activeTier() and have tier-explicit
- * `*At` variants so tests can run the scalar and vector paths in one
- * process and assert bit-identical results.  The scalar tier is the
- * same arithmetic as ecc/reed_solomon.cc (product-table loads), which
- * is fuzzed against RsReference -- the oracle chain the dispatch
- * contract hangs off.
+ * syndromeSoa is the one dispatched kernel: ReedSolomon::decodeSoa
+ * screens each ArccMemory::accessBatch run with it, and the decode of
+ * a flagged lane is scalar.  syndromeSoaAt names the tier, so tests
+ * can run the scalar and vector paths in one process and assert
+ * bit-identical results.  The scalar tier is the same arithmetic as
+ * ReedSolomon::computeSyndromes, which is fuzzed against RsReference
+ * -- the oracle chain the dispatch contract hangs off.
  *
- * Lane-count convention: rows are processed in 16-lane blocks, so a
+ * Lane-count convention: rows are processed in 16-lane blocks, so the
  * kernel may read and write up to roundUp16(lanes) entries of every
  * row (garbage lanes compute garbage, which callers ignore).  The
  * caller must therefore provide stride >= roundUp16(lanes); the
@@ -55,18 +57,6 @@ roundUpLanes(int lanes)
 }
 
 /**
- * out[i] = a * in[i] for i in [0, len).  out may alias in.  Unlike
- * the SoA kernels this is exact-length (scalar tail); it is the
- * building block benchmark and the mulRow() analogue for flat spans.
- */
-void mulConst(std::uint8_t a, const std::uint8_t *in, std::uint8_t *out,
-              std::size_t len);
-
-/** mulConst at an explicit tier (tests; unavailable tiers -> scalar). */
-void mulConstAt(simd::Tier t, std::uint8_t a, const std::uint8_t *in,
-                std::uint8_t *out, std::size_t len);
-
-/**
  * Batched Horner syndrome evaluation over an SoA block.
  *
  * For each root j < rr and lane l < lanes:
@@ -91,32 +81,6 @@ void syndromeSoaAt(simd::Tier t, const std::uint8_t *soa,
                    std::size_t stride, int symbols, int lanes,
                    const std::uint8_t *roots, int rr,
                    std::uint8_t *synd_soa, std::uint8_t *flags);
-
-/**
- * Chien search over ascending array positions, vectorized across the
- * *positions* of one codeword (16 evaluation points per shuffle
- * block).  Equivalent to the incremental scalar scan of
- * ReedSolomon::decodeCore: position i evaluates
- *
- *     v(i) = sum_j terms0[j] * lane_step[j * 16 + (i % 16)]
- *                            * block_step[j]^(i / 16)
- *
- * where terms0[j] = psi_j * alpha^(-j(n-1)) carries the start-of-scan
- * term, lane_step[j*16 + l] = alpha^(j*l) spreads it across a block
- * and block_step[j] = alpha^(16j) advances between blocks.  Roots are
- * reported ascending; the scan stops once max_roots are found (a
- * locator with psi[0] == 1 has at most deg(psi) roots).
- *
- * @return the number of roots written to err_pos.
- */
-int chienScan(const std::uint8_t *terms0, int psi_len, int n,
-              int max_roots, const std::uint8_t *lane_step,
-              const std::uint8_t *block_step, int *err_pos);
-
-/** chienScan at an explicit tier (tests). */
-int chienScanAt(simd::Tier t, const std::uint8_t *terms0, int psi_len,
-                int n, int max_roots, const std::uint8_t *lane_step,
-                const std::uint8_t *block_step, int *err_pos);
 
 /**
  * AoS -> SoA transpose: scatter `lanes` codewords of `symbols` bytes

@@ -26,10 +26,10 @@
  *    anywhere on the encode / syndrome / decode paths;
  *  - syndrome Horner chains are interleaved across j, so the r
  *    dependent-load chains pipeline instead of serialising;
- *  - the Chien search steps the evaluation point incrementally (one
- *    multiply per psi coefficient per position, with per-instance
- *    alpha^j step tables) and exits as soon as deg(Psi) roots are
- *    found;
+ *  - the Chien search is one scalar scan that steps the evaluation
+ *    point incrementally (one multiply per psi coefficient per
+ *    position, with a per-instance alpha^j step table) and exits as
+ *    soon as deg(Psi) roots are found;
  *  - the final safety check verifies sum_i mag_i * X_i^j == S_j
  *    (O(errors * r)) instead of re-evaluating the whole corrected
  *    word (O(n * r)); the two are the same field identity.
@@ -193,20 +193,10 @@ ReedSolomon::ReedSolomon(int n, int k)
     // psi_j * alpha^(-j(n-1)) and multiplies by alpha^j per position.
     // deg(Psi) <= r < kOrder bounds the table size.
     chienInit_.resize(GF256::kOrder);
-    for (int j = 0; j < GF256::kOrder; ++j)
-        chienInit_[j] = GF256::alphaPow(-(j * (n_ - 1)));
-
-    // Vector Chien tables: scanning 16 positions per shuffle block,
-    // term j spreads across a block with alpha^(j*l) and advances
-    // between blocks by alpha^(16j).  Lane 1 of each row is the plain
-    // per-position step, which the scalar tier of chienScan reuses.
-    chienLane_.resize(GF256::kOrder * gfsimd::kLaneBlock);
-    chienStep16_.resize(GF256::kOrder);
+    chienStep_.resize(GF256::kOrder);
     for (int j = 0; j < GF256::kOrder; ++j) {
-        for (int l = 0; l < gfsimd::kLaneBlock; ++l)
-            chienLane_[j * gfsimd::kLaneBlock + l] =
-                GF256::alphaPow(j * l);
-        chienStep16_[j] = GF256::alphaPow(gfsimd::kLaneBlock * j);
+        chienInit_[j] = GF256::alphaPow(-(j * (n_ - 1)));
+        chienStep_[j] = GF256::alphaPow(j);
     }
 }
 
@@ -487,15 +477,23 @@ ReedSolomon::decodeCore(std::span<std::uint8_t> codeword,
         gfpoly::degree(std::span<const std::uint8_t>(psi, psi_len));
 
     // Chien search, ascending array positions: term j starts at
-    // psi_j * alpha^(-j(n-1)) and the dispatched kernel evaluates 16
-    // positions per shuffle block (or steps one at a time on the
-    // scalar tier).  A polynomial with psi[0] == 1 has at most
-    // psi_deg roots, so the scan stops as soon as they are all found.
+    // psi_j * alpha^(-j(n-1)) and steps by alpha^j, one multiply per
+    // psi coefficient per position.  A polynomial with psi[0] == 1 has
+    // at most psi_deg roots, so the scan stops once they are all found.
+    ARCC_ASSERT(psi_len <= static_cast<std::size_t>(GF256::kOrder));
+    std::uint8_t *terms = ws.terms.data();
     for (std::size_t j = 0; j < psi_len; ++j)
-        ws.terms[j] = GF256::mul(psi[j], chienInit_[j]);
-    const int found = gfsimd::chienScan(
-        ws.terms.data(), static_cast<int>(psi_len), n_, psi_deg,
-        chienLane_.data(), chienStep16_.data(), ws.errPos.data());
+        terms[j] = GF256::mul(psi[j], chienInit_[j]);
+    int found = 0;
+    for (int i = 0; i < n_ && found < psi_deg; ++i) {
+        std::uint8_t v = 0;
+        for (std::size_t j = 0; j < psi_len; ++j)
+            v ^= terms[j];
+        if (v == 0)
+            ws.errPos[found++] = i;
+        for (std::size_t j = 1; j < psi_len; ++j)
+            terms[j] = GF256::mul(terms[j], chienStep_[j]);
+    }
     if (found != psi_deg) {
         res.status = DecodeStatus::Detected;
         return res;

@@ -288,12 +288,9 @@ class ReedSolomon
      *  order puts the evaluation point at alpha^-(n-1-i), so term j
      *  starts at psi_j * chienInit_[j] = psi_j * alpha^(-j(n-1)). */
     std::vector<std::uint8_t> chienInit_;
-    /** Chien step tables (see gfsimd::chienScan): per term j, the 16
-     *  within-block factors alpha^(j*l) (lane 1 doubles as the scalar
-     *  tier's per-position step alpha^j) ... */
-    std::vector<std::uint8_t> chienLane_;
-    /** ... and the block-advance factors alpha^(16j). */
-    std::vector<std::uint8_t> chienStep16_;
+    /** Chien step table: term j multiplies by chienStep_[j] = alpha^j
+     *  per position. */
+    std::vector<std::uint8_t> chienStep_;
 };
 
 /** Polynomial helpers shared with tests (coefficients low-to-high). */

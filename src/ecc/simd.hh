@@ -1,17 +1,18 @@
 /**
  * @file
- * SIMD dispatch tiers for the GF(2^8) kernels.
+ * SIMD dispatch tiers for the GF(2^8) syndrome screen.
  *
- * The vector kernels in ecc/gf256_simd.hh are compiled per ISA
- * extension with function-level target attributes (so the baseline
- * build stays runnable on any x86-64) and selected once at runtime:
+ * The one vector kernel, gfsimd::syndromeSoa (ecc/gf256_simd.hh), is
+ * compiled per ISA extension with function-level target attributes
+ * (so the baseline build stays runnable on any x86-64) and its tier
+ * is selected once at runtime:
  *
  *  - **Avx2**:  32-lane nibble shuffles via vpshufb.
  *  - **Ssse3**: 16-lane nibble shuffles via pshufb (the portable x86
  *               floor; every x86-64 part since ~2006 has it).
  *  - **Neon**:  16-lane shuffles via tbl on aarch64 (baseline there).
  *  - **Scalar**: the table-driven loops of ecc/reed_solomon.cc --
- *               the *pinned oracle*.  Every vector kernel is required
+ *               the *pinned oracle*.  Every vector tier is required
  *               to be bit-identical to it (and the scalar pipeline is
  *               in turn fuzzed against RsReference), so "fast" and
  *               "correct" stay the same artifact.
@@ -21,10 +22,10 @@
  *  - `-DARCC_SIMD=OFF` at configure time defines ARCC_SIMD_DISABLED
  *    and compiles the vector kernels out entirely (the CI scalar leg);
  *  - the `ARCC_SIMD` environment variable caps the tier at runtime
- *    without a rebuild: `off` / `scalar` / `0` force scalar, `ssse3`
- *    caps an AVX2 machine at 16 lanes, `avx2` / `neon` / unset /
- *    anything else keep the detected tier.  bench-smoke uses this to
- *    diff the two paths' `check` hashes from one binary.
+ *    without a rebuild (case-insensitive): `off` / `0` / `scalar` /
+ *    `false` force scalar, `ssse3` caps an AVX2 machine at 16 lanes,
+ *    `avx2` / `neon` / unset / empty keep the detected tier, and any
+ *    other text is fatal.
  */
 
 #ifndef ARCC_ECC_SIMD_HH

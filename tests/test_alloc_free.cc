@@ -570,12 +570,15 @@ TEST(AllocFree, CampaignTrialsAllocateNothingPerTrial)
 
 TEST(AllocFree, LifetimeMcAllocatesPerShardNotPerChannel)
 {
-    // Each LifetimeMc shard draws its 64 channels into one Trial, so
-    // a curve's allocations grow with the shards (the Trial's buffers
-    // and the shard's partial), never with the channels: at 100x
-    // rates, where every channel holds faults, 3,840 more channels
-    // take fewer than 3,840 more allocations for either curve.  Any
-    // allocation per channel fails this.
+    // Each LifetimeMc shard draws its 64 channels into the engine
+    // thread's Trial (Trial::forThisThread()), so a curve's
+    // allocations grow with the shards (the shard's partial, its
+    // engine task and a share of the task queue's blocks), never with
+    // the channels: at 100x rates, where every channel holds faults,
+    // the 60 more shards of 3,840 more channels take at most 2.5
+    // allocations each for either curve, the rule
+    // TrialLoopsReuseTheThreadsTrialAcrossShards holds warm calls to.
+    // Any allocation per channel fails this.
     LifetimeMcConfig cfg;
     cfg.rates = cfg.rates.scaled(100.0);
     SimEngine engine(SimEngine::Options{1});
@@ -599,14 +602,16 @@ TEST(AllocFree, LifetimeMcAllocatesPerShardNotPerChannel)
     const auto overhead = [&](const LifetimeMc &mc) {
         return mc.cumulativeOverheadByYear(per_type, 0.5);
     };
+    const double bound =
+        2.5 * (4096 - 256) / static_cast<double>(SimEngine::kDefaultShard);
     const std::uint64_t affected_short = allocationsOver(256, affected);
     const std::uint64_t affected_long = allocationsOver(4096, affected);
-    EXPECT_LT(affected_long - affected_short, 4096u - 256u)
+    EXPECT_LE(static_cast<double>(affected_long - affected_short), bound)
         << affected_short << " allocations over 256 channels, "
         << affected_long << " over 4096";
     const std::uint64_t overhead_short = allocationsOver(256, overhead);
     const std::uint64_t overhead_long = allocationsOver(4096, overhead);
-    EXPECT_LT(overhead_long - overhead_short, 4096u - 256u)
+    EXPECT_LE(static_cast<double>(overhead_long - overhead_short), bound)
         << overhead_short << " allocations over 256 channels, "
         << overhead_long << " over 4096";
 }

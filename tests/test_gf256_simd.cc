@@ -1,19 +1,22 @@
 /**
  * @file
- * Unit tests for the SIMD GF(2^8) kernel layer (ecc/gf256_simd.hh).
+ * Unit tests for the SIMD GF(2^8) layer (ecc/simd.hh,
+ * ecc/gf256_simd.hh).
  *
- * The dispatch contract under test: every vector kernel is
+ * The dispatch contract under test: the vector syndrome screen is
  * bit-identical to its scalar tier, which in turn is the same
  * arithmetic as the product-table loops the oracle fuzz pins against
  * RsReference.  Running the scalar and the active tier side by side
  * in one process checks the vector half of that chain directly; the
  * CI scalar-forced build (-DARCC_SIMD=OFF) re-runs this whole binary
- * with the vector bodies compiled out.
+ * with the vector bodies compiled out.  The ARCC_SIMD cap is resolved
+ * once per process, so its tests read it in death-test children.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -61,41 +64,6 @@ TEST(Gf256Simd, TierDispatchIsSane)
     if (det == simd::Tier::Scalar) {
         EXPECT_EQ(act, simd::Tier::Scalar);
     }
-}
-
-TEST(Gf256Simd, MulConstMatchesScalarTierForAllLengths)
-{
-    Rng rng(0x51dc0de);
-    const simd::Tier act = simd::activeTier();
-    std::vector<std::uint8_t> in(257), out_s(257), out_v(257);
-    for (int len = 0; len <= 257; len += (len < 40 ? 1 : 7)) {
-        for (int t = 0; t < 8; ++t) {
-            const std::uint8_t a =
-                static_cast<std::uint8_t>(rng.below(256));
-            for (int i = 0; i < len; ++i)
-                in[i] = static_cast<std::uint8_t>(rng.below(256));
-            gfsimd::mulConstAt(simd::Tier::Scalar, a, in.data(),
-                               out_s.data(), len);
-            gfsimd::mulConstAt(act, a, in.data(), out_v.data(), len);
-            for (int i = 0; i < len; ++i) {
-                ASSERT_EQ(out_s[i], GF256::mul(a, in[i]));
-                ASSERT_EQ(out_v[i], out_s[i])
-                    << "len=" << len << " i=" << i << " a=" << int(a);
-            }
-        }
-    }
-}
-
-TEST(Gf256Simd, MulConstWorksInPlace)
-{
-    Rng rng(0x1717);
-    std::vector<std::uint8_t> buf(100), expect(100);
-    for (std::size_t i = 0; i < buf.size(); ++i)
-        buf[i] = static_cast<std::uint8_t>(rng.below(256));
-    for (std::size_t i = 0; i < buf.size(); ++i)
-        expect[i] = GF256::mul(0x3b, buf[i]);
-    gfsimd::mulConst(0x3b, buf.data(), buf.data(), buf.size());
-    EXPECT_EQ(buf, expect);
 }
 
 TEST(Gf256Simd, SyndromeSoaMatchesPerWordSyndromesBothTiers)
@@ -161,64 +129,6 @@ TEST(Gf256Simd, SyndromeSoaMatchesPerWordSyndromesBothTiers)
     }
 }
 
-TEST(Gf256Simd, ChienScanMatchesScalarTierAndFindsTrueRoots)
-{
-    // Random locator polynomials with psi[0] = 1 (the decodeCore
-    // shape): both tiers must report the same ascending positions,
-    // each of which must be a genuine root of psi at the position's
-    // evaluation point alpha^-(n-1-i).
-    const simd::Tier act = simd::activeTier();
-    Rng rng(0xc41e);
-    for (int n : {18, 36, 72, 255}) {
-        // Per-term lane/block step tables, as ReedSolomon builds them.
-        std::vector<std::uint8_t> lane_step(
-            static_cast<std::size_t>(256) * gfsimd::kLaneBlock);
-        std::vector<std::uint8_t> block_step(256);
-        for (int j = 0; j < 256; ++j) {
-            for (int l = 0; l < gfsimd::kLaneBlock; ++l)
-                lane_step[j * gfsimd::kLaneBlock + l] =
-                    GF256::alphaPow(j * l);
-            block_step[j] = GF256::alphaPow(gfsimd::kLaneBlock * j);
-        }
-
-        for (int it = 0; it < 300; ++it) {
-            const int deg = static_cast<int>(rng.below(9));
-            std::vector<std::uint8_t> psi(deg + 1);
-            psi[0] = 1;
-            for (int j = 1; j <= deg; ++j)
-                psi[j] = static_cast<std::uint8_t>(rng.below(256));
-            if (deg > 0 && psi[deg] == 0)
-                psi[deg] = 1;
-
-            std::vector<std::uint8_t> terms0(deg + 1);
-            for (int j = 0; j <= deg; ++j)
-                terms0[j] = GF256::mul(psi[j],
-                                       GF256::alphaPow(-(j * (n - 1))));
-
-            int pos_s[256], pos_v[256];
-            const int found_s = gfsimd::chienScanAt(
-                simd::Tier::Scalar, terms0.data(), deg + 1, n, deg,
-                lane_step.data(), block_step.data(), pos_s);
-            const int found_v = gfsimd::chienScanAt(
-                act, terms0.data(), deg + 1, n, deg,
-                lane_step.data(), block_step.data(), pos_v);
-
-            ASSERT_EQ(found_s, found_v) << "n=" << n << " it=" << it;
-            for (int i = 0; i < found_s; ++i) {
-                ASSERT_EQ(pos_s[i], pos_v[i])
-                    << "n=" << n << " it=" << it << " root " << i;
-                if (i > 0) {
-                    ASSERT_LT(pos_s[i - 1], pos_s[i]);
-                }
-                const std::uint8_t x =
-                    GF256::alphaPow(-(n - 1 - pos_s[i]));
-                ASSERT_EQ(gfpoly::eval(psi, x), 0)
-                    << "reported non-root at " << pos_s[i];
-            }
-        }
-    }
-}
-
 TEST(Gf256Simd, SoaScatterGatherAreInverses)
 {
     Rng rng(0x50a);
@@ -239,6 +149,64 @@ TEST(Gf256Simd, SoaScatterGatherAreInverses)
     gfsimd::soaGather(soa.data(), RsWorkspace::kSoaLanes, symbols,
                       lanes, back.data(), symbols);
     EXPECT_EQ(back, words);
+}
+
+/** Set ARCC_SIMD to value, or unset it for nullptr.  Called inside
+ *  death-test statements, so only the child's environment changes. */
+void
+setArccSimd(const char *value)
+{
+    if (value)
+        ::setenv("ARCC_SIMD", value, 1);
+    else
+        ::unsetenv("ARCC_SIMD");
+}
+
+TEST(Gf256SimdEnv, KnownSpellingsSelectTheirTier)
+{
+    // Each child sets the cap, resolves it afresh and reports the
+    // tier it picked as its exit code.
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const simd::Tier det = simd::detectTier();
+    const simd::Tier capped =
+        det == simd::Tier::Avx2 ? simd::Tier::Ssse3 : det;
+    struct Case
+    {
+        const char *value;
+        simd::Tier tier;
+    };
+    for (const Case c : {Case{nullptr, det}, Case{"", det},
+                         Case{"off", simd::Tier::Scalar},
+                         Case{"OFF", simd::Tier::Scalar},
+                         Case{"0", simd::Tier::Scalar},
+                         Case{"scalar", simd::Tier::Scalar},
+                         Case{"False", simd::Tier::Scalar},
+                         Case{"ssse3", capped}, Case{"SSSE3", capped},
+                         Case{"avx2", det}, Case{"neon", det}}) {
+        EXPECT_EXIT(
+            {
+                setArccSimd(c.value);
+                std::_Exit(static_cast<int>(simd::activeTier()));
+            },
+            testing::ExitedWithCode(static_cast<int>(c.tier)), "")
+            << "ARCC_SIMD=" << (c.value ? c.value : "(unset)");
+    }
+}
+
+// Regression: an unknown ARCC_SIMD value used to keep the detected
+// tier, so "ARCC_SIMD=of" ran the vector kernels it meant to rule out.
+TEST(Gf256SimdEnvDeath, MisspeltTierIsFatal)
+{
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    for (const char *value : {"of", "none", "avx512"}) {
+        EXPECT_EXIT(
+            {
+                setArccSimd(value);
+                simd::activeTier();
+            },
+            testing::ExitedWithCode(1),
+            std::string("ARCC_SIMD=") + value + ":");
+    }
 }
 
 } // namespace
