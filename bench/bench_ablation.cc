@@ -21,6 +21,7 @@ using namespace arcc;
 int
 main()
 {
+    bench::reportHost();
     printBanner("Ablation studies");
     SystemConfig base = bench::systemConfig(arccConfig());
     auto lane = PageUpgradeOracle::forScenario(

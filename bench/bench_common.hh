@@ -11,8 +11,8 @@
  *
  * A bench's stdout is a pure function of its inputs: it holds results
  * only, so it is byte-identical at any ARCC_THREADS and SIMD tier.
- * Anything that depends on the host -- wall-clock time, the executor
- * count, the dispatch tier -- goes to stderr.
+ * The host details a run used -- the executor count and the SIMD
+ * tier -- go to stderr, as the one line reportHost() writes.
  */
 
 #ifndef ARCC_BENCH_BENCH_COMMON_HH
@@ -30,6 +30,8 @@
 #include "common/parse_num.hh"
 #include "common/table.hh"
 #include "cpu/system_sim.hh"
+#include "ecc/simd.hh"
+#include "engine/sim_engine.hh"
 #include "faults/fault_model.hh"
 #include "faults/lifetime_mc.hh"
 
@@ -42,6 +44,19 @@ inline std::uint64_t
 instrBudget()
 {
     return envU64("ARCC_BENCH_INSTRS", 1'000'000);
+}
+
+/**
+ * Write the executor count and the SIMD tier as one stderr line.
+ * Every bench calls this first, so each run's stderr records how it
+ * ran while its stdout stays the same on any host.
+ */
+inline void
+reportHost()
+{
+    std::fprintf(stderr, "host: %d executor(s), SIMD tier %s\n",
+                 SimEngine::global().threads(),
+                 simd::tierName(simd::activeTier()));
 }
 
 /** Pre-format a counter / double for a jsonRow value. */

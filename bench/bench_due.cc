@@ -31,6 +31,7 @@ using namespace arcc;
 int
 main()
 {
+    bench::reportHost();
     printBanner("Section 6.1: DUE rates and the chip-sparing benefit");
 
     TextTable t;

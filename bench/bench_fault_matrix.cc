@@ -28,6 +28,7 @@ using namespace arcc::bench;
 int
 main()
 {
+    bench::reportHost();
     FaultMatrixConfig cfg;
     cfg.codecs = codecs::names(); // The whole zoo, sorted by key.
     cfg.trialsPerCell =

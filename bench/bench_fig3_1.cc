@@ -17,6 +17,7 @@ using namespace arcc;
 int
 main()
 {
+    bench::reportHost();
     printBanner("Figure 3.1: Faulty Memory vs Time");
     std::printf("Average fraction of 4KB pages affected by faults "
                 "(worst-case corruption footprints),\n"

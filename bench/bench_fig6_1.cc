@@ -20,6 +20,7 @@ using namespace arcc;
 int
 main()
 {
+    bench::reportHost();
     printBanner("Figure 6.1: Reliability Comparison (SDC rates)");
     std::printf("SDC events per 1000 machine-years; machine = one "
                 "72-device channel pair; 4h scrub period.\n"

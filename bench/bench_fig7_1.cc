@@ -17,6 +17,7 @@ using namespace arcc;
 int
 main()
 {
+    bench::reportHost();
     printBanner("Figure 7.1: Power and Performance Improvements");
     std::printf("ARCC (2ch x 2rk x 18dev x8) vs Baseline "
                 "(2ch x 1rk x 36dev x4), no faults.\n"

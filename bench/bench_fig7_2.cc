@@ -17,6 +17,7 @@ using namespace arcc;
 int
 main()
 {
+    bench::reportHost();
     printBanner(
         "Figure 7.2: Power Consumption of a Memory System with Fault");
     std::printf("ARCC power with one fault, normalised to fault-free "

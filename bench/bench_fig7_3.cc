@@ -18,6 +18,7 @@ using namespace arcc;
 int
 main()
 {
+    bench::reportHost();
     printBanner(
         "Figure 7.3: Performance of a Memory System with Fault");
     std::printf("ARCC IPC with one fault, normalised to fault-free "

@@ -28,6 +28,7 @@ using namespace arcc;
 int
 main()
 {
+    bench::reportHost();
     printBanner("Figure 7.4: Power Overhead of Error Correction");
 
     std::printf("Measuring per-fault-type power overheads "

@@ -16,6 +16,7 @@ using namespace arcc;
 int
 main()
 {
+    bench::reportHost();
     printBanner("Figure 7.5: Performance Overhead of Error Correction");
 
     std::printf("Measuring per-fault-type performance overheads "

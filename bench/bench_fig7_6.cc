@@ -23,6 +23,7 @@ using namespace arcc;
 int
 main()
 {
+    bench::reportHost();
     printBanner("Figure 7.6: ARCC + LOT-ECC Worst-Case Overhead");
     std::printf("ARCC+LOT-ECC vs nine-device LOT-ECC; worst-case "
                 "application (all reads, no locality):\n"

@@ -20,6 +20,7 @@ using namespace arcc;
 int
 main()
 {
+    bench::reportHost();
     printBanner("Chapter 3 Motivation: rank size 18 vs 36");
 
     // Per-access dynamic energy decomposition.

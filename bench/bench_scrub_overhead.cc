@@ -26,13 +26,13 @@
 #include "bench_common.hh"
 #include "common/rng.hh"
 #include "common/table.hh"
-#include "engine/sim_engine.hh"
 
 using namespace arcc;
 
 int
 main()
 {
+    bench::reportHost();
     printBanner("Section 4.2.2: Memory Scrubbing Overhead");
 
     const double bytes = 4.0 * 1024 * 1024 * 1024;
@@ -68,8 +68,6 @@ main()
     std::printf("\nFunctional scrub of a 512KB ARCC memory with one "
                 "corrupt device and one hidden stuck-at cell\n"
                 "(Scrubber::scrubParallel):\n");
-    std::fprintf(stderr, "scrubParallel on %d executor(s)\n",
-                 SimEngine::global().threads());
     ArccMemory mem(FunctionalConfig::arccSmall());
     Rng rng(99);
     for (std::uint64_t addr = 0; addr < mem.capacity();

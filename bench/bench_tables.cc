@@ -122,6 +122,7 @@ table74()
 int
 main()
 {
+    bench::reportHost();
     std::printf("ARCC reproduction -- configuration tables "
                 "(HPCA 2013, Tables 7.1-7.4)\n");
     table71();

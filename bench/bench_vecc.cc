@@ -51,6 +51,7 @@ profile(TextTable &t, const char *label, const VeccGeometry &geom,
 int
 main()
 {
+    bench::reportHost();
     printBanner("Chapter 5.2: ARCC applied to VECC");
     std::printf("Device accesses per operation (256-line functional "
                 "region, tier-2 LLC hit rate 50%%):\n\n");

@@ -163,8 +163,8 @@ mergeWorkers(const CampaignSpec &spec, const WorkerPlan &plan,
 /**
  * One-machine fan-out: fork one child per worker and merge when all
  * succeed.  The parent never touches SimEngine::global() -- each
- * child builds its own thread pool after the fork, so no pool threads
- * or locks are duplicated into the children.
+ * child starts its own engine workers after the fork, so no worker
+ * threads or locks are duplicated into the children.
  */
 int
 fanOut(const CampaignSpec &spec, const WorkerPlan &plan,

@@ -5,8 +5,8 @@
  *
  * The engine splits N independent items (Monte Carlo trials, (mix,
  * scenario) simulation jobs, scrub page ranges) into fixed-size
- * shards and runs the shards on a work-stealing thread pool.
- * Determinism is a design invariant, not an accident:
+ * shards and runs the shards on its own worker threads and the
+ * calling thread.  Determinism is a design invariant, not an accident:
  *
  *  - shard boundaries depend only on the item count and the shard
  *    size, never on the worker count, so the floating-point reduction
@@ -19,10 +19,11 @@
  * Together these make an N-worker run bit-identical to a 1-worker run
  * of the same configuration.  tests/test_engine.cc enforces this.
  *
- * The calling thread participates: while a sharded call is in flight
- * it executes queued shards itself, so a zero-worker engine is simply
- * a deterministic sequential loop and nested sharded calls cannot
- * deadlock the pool -- a shard body may itself call into an engine
+ * Every executor, the calling thread included, claims a call's
+ * shards from one atomic cursor until none is left.  A 1-executor
+ * engine starts no thread and is simply a deterministic sequential
+ * loop, and a shard body may itself call into an engine: the nested
+ * caller drains its own call instead of waiting for a busy worker
  * (tests/test_engine.cc pins this).
  *
  * docs/ARCHITECTURE.md documents the shard-reduce contract every
@@ -32,13 +33,14 @@
 #ifndef ARCC_ENGINE_SIM_ENGINE_HH
 #define ARCC_ENGINE_SIM_ENGINE_HH
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <mutex>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "engine/thread_pool.hh"
 
 namespace arcc
 {
@@ -53,8 +55,9 @@ struct ShardRange
 };
 
 /**
- * The engine.  Cheap to construct around an existing pool; the
- * process-wide instance is SimEngine::global().
+ * The engine.  Construction starts its threads() - 1 workers and
+ * destruction joins them; the process-wide instance is
+ * SimEngine::global().
  */
 class SimEngine
 {
@@ -63,7 +66,7 @@ class SimEngine
     {
         /**
          * Total executor count including the calling thread: 1 runs
-         * everything inline, N uses N-1 pool workers plus the caller.
+         * everything inline, N uses N-1 worker threads plus the caller.
          * 0 picks the ARCC_THREADS environment variable, falling back
          * to the hardware thread count.
          */
@@ -74,6 +77,12 @@ class SimEngine
     SimEngine();
     explicit SimEngine(const Options &options);
 
+    ~SimEngine();
+
+    /** Workers hold `this`, so the engine never moves. */
+    SimEngine(const SimEngine &) = delete;
+    SimEngine &operator=(const SimEngine &) = delete;
+
     /**
      * The process-wide engine, sized from ARCC_THREADS / the hardware
      * on first use.  Every simulation entry point that takes an
@@ -81,8 +90,8 @@ class SimEngine
      */
     static SimEngine &global();
 
-    /** Executor count (pool workers + the calling thread). */
-    int threads() const { return pool_.workers() + 1; }
+    /** Executor count (worker threads + the calling thread). */
+    int threads() const { return static_cast<int>(workers_.size()) + 1; }
 
     /**
      * Run body(shard) for every fixed-size shard of [0, items) and
@@ -166,17 +175,35 @@ class SimEngine
     }
 
     /**
-     * Default trial-count shard size: coarse enough that queue and
+     * Default trial-count shard size: coarse enough that claim and
      * slot overheads vanish, fine enough that 8 workers load-balance a
      * 10000-trial fleet.  Callers may override but must keep their
      * choice independent of the thread count.
      */
     static constexpr std::uint64_t kDefaultShard = 64;
 
-    ThreadPool &pool() { return pool_; }
-
   private:
-    mutable ThreadPool pool_;
+    /** One forEachShard call in flight; lives on the caller's stack. */
+    struct Call;
+
+    void workerMain();
+    /** Stop the workers once they are idle, and join them. */
+    void stopWorkers();
+    /** Claim and run shards of `call` until none is left or one
+     *  throws; the first error cancels every unclaimed shard. */
+    void runShards(Call &call) const;
+    /** The oldest open call with a shard left to claim, or nullptr. */
+    Call *openCall() const;
+
+    /** Guards open_, stopping_, and each call's holders and error. */
+    mutable std::mutex mutex_;
+    /** Signalled when a call opens or the engine stops; idle workers
+     *  wait on it. */
+    mutable std::condition_variable workReady_;
+    /** FIFO of open calls, linked through Call::nextOpen. */
+    mutable Call *open_ = nullptr;
+    bool stopping_ = false;
+    std::vector<std::thread> workers_;
 };
 
 } // namespace arcc

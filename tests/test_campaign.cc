@@ -5,9 +5,10 @@
  * monotonicity (duplicates / reorders / layout drift are fatal), and
  * a real SIGKILL mid-campaign followed by a bit-identical resume.
  *
- * Every engine in this file is a 1-thread local engine: the SIGKILL
- * test fork()s, and a forked child must never inherit a half-locked
- * thread pool.
+ * Every engine in this file is a 1-thread local engine, which starts
+ * no worker: the SIGKILL test fork()s, and a forked child must never
+ * inherit an engine whose workers, and any lock they held, stayed in
+ * the parent.
  */
 
 #include <gtest/gtest.h>
@@ -329,7 +330,7 @@ TEST(Campaign, SigkillMidCampaignResumesBitIdentically)
     // The real thing: a child process is SIGKILLed while running the
     // checkpointed campaign -- possibly mid-append -- and a resume in
     // this process must land on the uninterrupted golden digest.
-    // 1-thread engines keep the fork() clean of pool threads.
+    // 1-thread engines keep the fork() clean of engine workers.
     CampaignSpec spec = testSpec();
     spec.channels = 4096;
     spec.epochTrials = 128;

@@ -15,7 +15,8 @@
  *
  * Every engine in this file is a small *local* engine except the one
  * global-engine golden test kept last: the SIGKILL test fork()s, and
- * a forked child must never inherit a half-locked thread pool.
+ * a forked child must never inherit an engine whose workers, and any
+ * lock they held, stayed in the parent.
  * Death-test suites are named *DeathTest so gtest runs them first.
  */
 
@@ -350,7 +351,7 @@ TEST(CampaignMultiproc, SigkilledWorkerResumesAndMergeMatchesGolden)
     // The real thing: fork one child per worker, SIGKILL one of them
     // mid-epoch (possibly mid-append), resume the casualty in this
     // process, merge from the logs.  1-thread engines keep the
-    // fork() clean of pool threads.
+    // fork() clean of engine workers.
     const CampaignSpec spec = multiprocSpec();
     const WorkerPlan plan(spec, 4);
     constexpr std::uint32_t kVictim = 1;
@@ -488,7 +489,7 @@ TEST(CampaignMultiproc, RandomSplitsFoldToTheUnsplitBytes)
     }
 }
 
-// --- global-engine golden (kept last: it sizes the global pool) --------
+// --- global-engine golden (kept last: it starts the global engine) -----
 
 TEST(CampaignMultiprocGolden, MergedDigestOnTheGlobalEngine)
 {

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the parallel simulation engine: splittable / jump-ahead
- * RNG streams, the work-stealing thread pool, deterministic sharding,
- * and bit-identical Monte Carlo results across thread counts.
+ * RNG streams, deterministic sharding under nested and concurrent
+ * callers, and bit-identical Monte Carlo results across thread counts.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include "cpu/system_sim.hh"
 #include "dram/dram_params.hh"
 #include "engine/sim_engine.hh"
-#include "engine/thread_pool.hh"
 #include "faults/lifetime_mc.hh"
 
 namespace arcc
@@ -114,47 +113,15 @@ TEST(RngJump, JumpAndLongJumpLandInDistinctRegions)
     EXPECT_FALSE(all_equal);
 }
 
-// --- thread pool -------------------------------------------------------
-
-TEST(ThreadPool, RunsEverySubmittedTask)
-{
-    std::atomic<int> count{0};
-    {
-        ThreadPool pool(4);
-        for (int i = 0; i < 100; ++i)
-            pool.submit([&] { ++count; });
-        // Destructor completes whatever is still queued.
-    }
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, ZeroWorkerPoolRunsTasksInWaitLoops)
-{
-    ThreadPool pool(0);
-    EXPECT_EQ(pool.workers(), 0);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 10; ++i)
-        pool.submit([&] { ++count; });
-    EXPECT_EQ(count.load(), 0); // nothing runs until someone waits.
-    while (pool.tryRunOneTask()) {
-    }
-    EXPECT_EQ(count.load(), 10);
-}
-
-TEST(ThreadPool, HardwareThreadsIsPositive)
-{
-    EXPECT_GE(ThreadPool::hardwareThreads(), 1);
-}
-
 // --- SimEngine sharding ------------------------------------------------
 
 TEST(SimEngine, ThreadCountsComeOut)
 {
     SimEngine one(SimEngine::Options{1});
     EXPECT_EQ(one.threads(), 1);
-    EXPECT_EQ(one.pool().workers(), 0);
     SimEngine eight(SimEngine::Options{8});
     EXPECT_EQ(eight.threads(), 8);
+    EXPECT_GE(SimEngine().threads(), 1);
 }
 
 TEST(SimEngine, ForEachShardCoversEveryItemExactlyOnce)
@@ -199,7 +166,7 @@ TEST(SimEngine, ExceptionsPropagateAndEngineStaysUsable)
                             }),
         std::runtime_error);
 
-    // A failed sweep must not poison the pool.
+    // A failed sweep must not poison the engine.
     std::atomic<int> ran{0};
     engine.forEachShard(100, 8, [&](const ShardRange &) { ++ran; });
     EXPECT_EQ(ran.load(), 13); // ceil(100 / 8).
@@ -213,6 +180,40 @@ TEST(SimEngine, NestedShardedCallsDoNotDeadlock)
         engine.forEachIndex(4, [&](std::uint64_t) { ++inner; });
     });
     EXPECT_EQ(inner.load(), 16);
+}
+
+TEST(SimEngine, ConcurrentCallersShareOneEngine)
+{
+    // Four threads outside the engine call it at once, and every 10th
+    // shard nests a call of its own: every call must still run each of
+    // its items exactly once.
+    SimEngine engine(SimEngine::Options{4});
+    std::atomic<int> miscounted{0};
+    const auto coverOnce = [&] {
+        std::vector<std::atomic<int>> hits(1003);
+        engine.forEachShard(1003, 7, [&](const ShardRange &r) {
+            for (std::uint64_t i = r.begin; i < r.end; ++i)
+                ++hits[i];
+            if (r.index % 10 == 0) {
+                std::vector<std::atomic<int>> inner(40);
+                engine.forEachIndex(40,
+                                    [&](std::uint64_t i) { ++inner[i]; });
+                for (const std::atomic<int> &h : inner)
+                    miscounted += h.load() != 1;
+            }
+        });
+        for (const std::atomic<int> &h : hits)
+            miscounted += h.load() != 1;
+    };
+    std::vector<std::thread> callers;
+    for (int c = 0; c < 4; ++c)
+        callers.emplace_back([&] {
+            for (int call = 0; call < 25; ++call)
+                coverOnce();
+        });
+    for (std::thread &t : callers)
+        t.join();
+    EXPECT_EQ(miscounted.load(), 0);
 }
 
 // --- ARCC_THREADS validation -------------------------------------------
