@@ -7,11 +7,11 @@
  *
  *  1. capture a synthetic quad-core mix into per-core *text* traces
  *     (the format a PIN tool or gem5 exporter would produce);
- *  2. convert them to the fixed-record binary format
- *     (textTraceFileToBinary) -- 16 bytes per access;
+ *  2. convert them to the fixed-record binary format (convertTrace)
+ *     -- 16 bytes per access;
  *  3. replay them through simulateStreams via traceStreamSpec, which
- *     streams the binary file in O(chunk) resident memory, at 2, 4,
- *     and 8 memory channels;
+ *     streams the file in O(chunk) resident memory, at 2, 4, and 8
+ *     memory channels;
  *  4. mix a trace-driven core with live synthetic cores in one run.
  *
  * With trace files of your own, pass up to four paths on the command
@@ -82,18 +82,15 @@ main(int argc, char **argv)
     }
 
     // Step 2: text -> binary.  A binary record is a fixed 16 bytes,
-    // so the file is seekable and replays without parsing -- and
-    // TraceStream never loads more than one chunk of it.
+    // so the file replays without parsing; TraceStream holds one
+    // chunk of either format.  convertTrace reads both formats, so a
+    // trace that is binary already is copied as is.
     std::vector<std::string> bins;
     for (const std::string &text : texts) {
-        if (isBinaryTraceFile(text)) {
-            bins.push_back(text); // already binary: use as is.
-            continue;
-        }
         std::string bin =
             (dir / std::filesystem::path(text).filename())
                 .string() + ".bin";
-        std::uint64_t n = textTraceFileToBinary(text, bin);
+        std::uint64_t n = convertTrace(text, bin, /*binary=*/true);
         std::printf("  %s: %llu records, %ju -> %ju bytes\n",
                     bin.c_str(), static_cast<unsigned long long>(n),
                     static_cast<std::uintmax_t>(

@@ -272,10 +272,9 @@ struct StreamSpec
     std::function<CoreWorkload::Access()> next;
     double baseIpc = 1.0;
     /**
-     * Optional lap counter of the underlying trace (TraceReplay /
-     * TraceStream); sampled once the stream has been drawn and
-     * surfaced as CoreResult::traceLaps.  Leave empty for synthetic
-     * generators.
+     * Optional lap counter of the underlying trace (TraceStream);
+     * sampled once the stream has been drawn and surfaced as
+     * CoreResult::traceLaps.  Leave empty for synthetic generators.
      */
     std::function<std::uint64_t()> laps;
 };

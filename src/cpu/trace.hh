@@ -7,7 +7,7 @@
  * from a PIN tool, gem5, or a production sampler -- can feed them to
  * the same simulator through the StreamSpec factories below and
  * compare against the synthetic twins, or capture the twins' streams
- * for inspection with TraceWriter / BinaryTraceWriter.
+ * for inspection with TraceWriter.
  *
  * Two interchangeable on-disk formats:
  *
@@ -15,20 +15,19 @@
  *
  *        <hex-address> <R|W> <instructions-since-previous-access>
  *
+ *    The address may carry a 0x prefix; neither number takes a sign.
  *    '#'-prefixed lines (leading whitespace allowed) are comments;
  *    blank lines, trailing whitespace, and CRLF endings are
- *    tolerated.  parseTrace / loadTrace slurp it into memory for
- *    TraceReplay.
+ *    tolerated.
  *
  *  - **Binary** (production scale): an 8-byte magic ("ARCCTRC1")
  *    followed by fixed 16-byte little-endian records -- bytes 0-7 the
  *    address, bytes 8-15 the instruction gap with the top bit set for
- *    writes.  TraceStream replays it through a bounded chunk buffer,
- *    so resident memory is O(chunk) no matter how long the trace is.
+ *    writes.
  *
- * textTraceToBinary / binaryTraceToText convert between the two, one
- * access at a time (also O(chunk)).  traceStreamSpec() wraps either
- * format as a simulateStreams core, auto-detected by the magic.
+ * TraceStream reads both, told apart by the magic, through one chunk
+ * buffer, so resident memory is O(chunk) no matter how long the trace
+ * is.  convertTrace turns either format into the other.
  */
 
 #ifndef ARCC_CPU_TRACE_HH
@@ -37,6 +36,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -46,26 +46,6 @@
 namespace arcc
 {
 
-/** Write accesses to a text trace stream. */
-class TraceWriter
-{
-  public:
-    /** @param out destination stream (not owned). */
-    explicit TraceWriter(std::ostream &out);
-
-    /** Append one access. */
-    void append(const CoreWorkload::Access &access);
-
-    /** Accesses written so far. */
-    std::uint64_t count() const { return count_; }
-
-  private:
-    std::ostream &out_;
-    std::uint64_t count_ = 0;
-};
-
-// --- binary format -----------------------------------------------------
-
 /** Magic bytes opening a binary trace ("ARCCTRC1"). */
 inline constexpr char kTraceMagic[8] = {'A', 'R', 'C', 'C',
                                         'T', 'R', 'C', '1'};
@@ -73,19 +53,22 @@ inline constexpr char kTraceMagic[8] = {'A', 'R', 'C', 'C',
 inline constexpr std::size_t kTraceRecordBytes = 16;
 
 /**
- * Write accesses to a binary trace stream.  The format carries no
- * record count -- the payload length defines it -- so the writer
- * needs no finalisation step and works on non-seekable streams.
+ * Write accesses to a trace stream in either format.  The format
+ * carries no record count, so the writer needs no finalisation step
+ * and works on non-seekable streams.
  */
-class BinaryTraceWriter
+class TraceWriter
 {
   public:
-    /** @param out destination stream (not owned); magic is written
-     *  immediately. */
-    explicit BinaryTraceWriter(std::ostream &out);
+    /** @param out    destination stream (not owned); the header -- a
+     *                comment line or the binary magic -- is written
+     *                immediately.
+     *  @param binary true for the ARCCTRC1 format, false for text. */
+    TraceWriter(std::ostream &out, bool binary);
 
-    /** Append one access; fatal() if the instruction gap does not fit
-     *  the record's 63-bit field (never a realistic trace). */
+    /** Append one access; fatal() if the stream fails, or if a binary
+     *  record cannot hold the instruction gap (2^63 or more, never a
+     *  realistic trace). */
     void append(const CoreWorkload::Access &access);
 
     /** Accesses written so far. */
@@ -93,78 +76,19 @@ class BinaryTraceWriter
 
   private:
     std::ostream &out_;
+    bool binary_;
     std::uint64_t count_ = 0;
 };
 
 /**
- * Parse a text trace stream into memory.
- * @throws nothing; calls fatal() on malformed input (user error).
- */
-std::vector<CoreWorkload::Access> parseTrace(std::istream &in);
-
-/** Load a text trace file; fatal() if it cannot be opened or parsed. */
-std::vector<CoreWorkload::Access> loadTrace(const std::string &path);
-
-/**
- * Convert a text trace to the binary format, one access at a time
- * (O(1) resident memory).
- * @return records converted.
- */
-std::uint64_t textTraceToBinary(std::istream &text, std::ostream &bin);
-
-/**
- * Convert a binary trace back to canonical text (the exact bytes
- * TraceWriter would emit for the same accesses), one access at a
- * time.  fatal() on a bad magic or a truncated record.
- * @return records converted.
- */
-std::uint64_t binaryTraceToText(std::istream &bin, std::ostream &text);
-
-/** File-path convenience wrapper over textTraceToBinary. */
-std::uint64_t textTraceFileToBinary(const std::string &text_path,
-                                    const std::string &bin_path);
-
-/** File-path convenience wrapper over binaryTraceToText. */
-std::uint64_t binaryTraceFileToText(const std::string &bin_path,
-                                    const std::string &text_path);
-
-/** @return true when the file starts with the binary trace magic. */
-bool isBinaryTraceFile(const std::string &path);
-
-/**
- * Replays a recorded trace as an access stream, looping when the
- * simulator needs more accesses than the trace holds.  The whole
- * trace is resident; use TraceStream for production-scale files.
- */
-class TraceReplay
-{
-  public:
-    explicit TraceReplay(std::vector<CoreWorkload::Access> accesses);
-
-    /** Next access (wraps around at the end of the trace). */
-    CoreWorkload::Access next();
-
-    std::size_t size() const { return accesses_.size(); }
-    /** Number of times the trace has wrapped. */
-    std::uint64_t laps() const { return laps_; }
-
-  private:
-    std::vector<CoreWorkload::Access> accesses_;
-    std::size_t pos_ = 0;
-    std::uint64_t laps_ = 0;
-};
-
-/**
- * Streaming replay of a *binary* trace file: records are decoded out
- * of a fixed chunk buffer that is refilled from disk as the replay
- * advances, so resident memory is O(chunkRecords) regardless of the
- * file length (tests/test_alloc_free.cc enforces the bound).  Like
- * TraceReplay it wraps around at the end of the trace and counts
- * laps.
- *
- * fatal() on open failure, a bad magic, a truncated trailing record,
- * an empty trace, or a file that shrinks mid-replay (user error in
- * all cases).
+ * Streaming replay of a trace file of either format: records are
+ * decoded out of a fixed chunk buffer that is refilled from disk as
+ * the replay advances, so resident memory is O(chunkRecords)
+ * regardless of the file length (tests/test_alloc_free.cc enforces
+ * the bound).  A text trace is parsed into the same 16-byte records
+ * as it is read.  A trace that fits in one chunk is read on its first
+ * lap and then replayed from the buffer.  The replay wraps around at
+ * the end of the trace and counts laps.
  */
 class TraceStream
 {
@@ -172,28 +96,50 @@ class TraceStream
     /** Default chunk: 4096 records = 64 KiB resident. */
     static constexpr std::size_t kDefaultChunkRecords = 4096;
 
-    explicit TraceStream(std::string path,
-                         std::size_t chunkRecords = kDefaultChunkRecords);
+    /**
+     * Open and validate a trace file: the whole file is checked here,
+     * so a replay never meets a bad record.
+     * @return nullptr, with an `error` that names the file, when the
+     *         file cannot be opened, a binary payload is not a whole
+     *         number of records (a torn final write), the trace holds
+     *         no accesses, or a text line is malformed or has a gap
+     *         that a binary record cannot hold.
+     */
+    static std::unique_ptr<TraceStream>
+    open(const std::string &path, std::string &error,
+         std::size_t chunkRecords = kDefaultChunkRecords);
+
     ~TraceStream();
 
     TraceStream(const TraceStream &) = delete;
     TraceStream &operator=(const TraceStream &) = delete;
 
-    /** Next access (wraps around at the end of the trace). */
+    /** Next access (wraps around at the end of the trace).  fatal()
+     *  if the file changed under the replay. */
     CoreWorkload::Access next();
 
+    /** The trace file. */
+    const std::string &path() const { return path_; }
     /** Records in the file (one lap). */
     std::uint64_t records() const { return records_; }
     /** Number of times the trace has wrapped. */
     std::uint64_t laps() const { return laps_; }
-    /** Records the chunk buffer holds. */
-    std::size_t chunkRecords() const { return chunk_records_; }
 
   private:
+    TraceStream(const std::string &path, std::size_t chunkRecords);
+
+    /** Parse text lines up to the next access into `record`.
+     *  @return false at the end of the file, or with `error` set
+     *          ("line N: ...") on a malformed line. */
+    bool readTextRecord(std::uint8_t *record, std::string &error);
     void refill();
 
     std::string path_;
     std::FILE *file_ = nullptr;
+    bool binary_ = false;
+    char *line_ = nullptr; ///< getline(3) buffer of a text trace.
+    std::size_t line_cap_ = 0;
+    std::uint64_t line_no_ = 0;
     std::size_t chunk_records_;
     std::vector<std::uint8_t> buf_;
     std::size_t buf_records_ = 0; ///< valid records in buf_.
@@ -204,20 +150,31 @@ class TraceStream
     std::uint64_t laps_ = 0;
 };
 
+/**
+ * Convert the trace file `from` (either format) into `to`: binary
+ * when `binary` is true, otherwise canonical text (the exact bytes
+ * TraceWriter emits).  Reads through TraceStream, so it runs in
+ * O(chunk) memory.  fatal() on any error.
+ * @return records converted.
+ */
+std::uint64_t convertTrace(const std::string &from, const std::string &to,
+                           bool binary);
+
 // --- simulateStreams plumbing ------------------------------------------
 
 /**
- * Wrap a trace file as one simulateStreams core.  Binary traces
- * (detected by the magic) replay through a TraceStream at O(chunk)
- * memory; text traces are loaded whole into a TraceReplay.  The
- * spec's name is the file's basename and its lap counter feeds
- * CoreResult::traceLaps.  fatal() on an unreadable or empty trace.
+ * Wrap an open trace as one simulateStreams core.  The spec's name
+ * is the file's basename and its lap counter feeds
+ * CoreResult::traceLaps.
  *
- * @param path         trace file, text or binary.
- * @param baseIpc      the traced core's compute throughput between
- *                     accesses (text traces do not carry it).
- * @param chunkRecords TraceStream chunk size for binary traces.
+ * @param baseIpc the traced core's compute throughput between
+ *                accesses (traces do not carry it).
  */
+StreamSpec traceStreamSpec(std::shared_ptr<TraceStream> stream,
+                           double baseIpc);
+
+/** Open `path` with TraceStream::open and wrap it as above; fatal()
+ *  with the open's error on a bad trace. */
 StreamSpec
 traceStreamSpec(const std::string &path, double baseIpc,
                 std::size_t chunkRecords =

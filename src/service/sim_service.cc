@@ -7,6 +7,7 @@
 
 #include <exception>
 #include <future>
+#include <stdexcept>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -335,9 +336,17 @@ SimService::computeBody(const ServiceRequest &req) const
         res = simulateMix(*mix, cfg, oracle);
         body += "mix";
     } else {
+        // A bad trace is this request's error, not the daemon's.
         std::vector<StreamSpec> streams;
-        for (const std::string &path : req.tracePaths)
-            streams.push_back(traceStreamSpec(path, /*baseIpc=*/1.0));
+        for (const std::string &path : req.tracePaths) {
+            std::string error;
+            std::shared_ptr<TraceStream> stream =
+                TraceStream::open(path, error);
+            if (!stream)
+                throw std::runtime_error(error);
+            streams.push_back(
+                traceStreamSpec(std::move(stream), /*baseIpc=*/1.0));
+        }
         res = simulateStreams(std::move(streams), cfg, oracle);
         body += "trace";
     }

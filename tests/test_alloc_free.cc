@@ -440,7 +440,7 @@ TEST(AllocFree, TraceStreamReplayIsChunkBoundedNotFileBound)
             .string();
     {
         std::ofstream out(path, std::ios::binary);
-        BinaryTraceWriter writer(out);
+        TraceWriter writer(out, /*binary=*/true);
         Rng rng(7);
         CoreWorkload::Access a;
         for (std::uint64_t i = 0; i < kRecords; ++i) {
@@ -461,19 +461,21 @@ TEST(AllocFree, TraceStreamReplayIsChunkBoundedNotFileBound)
     {
         const std::uint64_t bytes_before =
             g_allocBytes.load(std::memory_order_relaxed);
-        TraceStream stream(path, kChunk);
-        for (std::uint64_t i = 0; i < kRecords; ++i) // cold lap.
-            checksum += stream.next().addr;
+        std::string error;
+        const std::unique_ptr<TraceStream> stream =
+            TraceStream::open(path, error, kChunk);
+        for (std::uint64_t i = 0; stream && i < kRecords; ++i) // cold.
+            checksum += stream->next().addr;
         stream_bytes = g_allocBytes.load(std::memory_order_relaxed) -
                        bytes_before;
 
         const std::uint64_t allocs_before =
             g_allocs.load(std::memory_order_relaxed);
-        for (std::uint64_t i = 0; i < kRecords; ++i) // warm lap.
-            checksum += stream.next().addr;
+        for (std::uint64_t i = 0; stream && i < kRecords; ++i) // warm.
+            checksum += stream->next().addr;
         steady_allocs = g_allocs.load(std::memory_order_relaxed) -
                         allocs_before;
-        laps = stream.laps();
+        laps = stream ? stream->laps() : 0;
     }
 
     EXPECT_NE(checksum, 0u);
@@ -485,6 +487,62 @@ TEST(AllocFree, TraceStreamReplayIsChunkBoundedNotFileBound)
     // room for the path strings but is 25x below O(file).
     EXPECT_LT(stream_bytes, 64 * 1024u)
         << "TraceStream must hold one chunk, not the file";
+    std::remove(path.c_str());
+}
+
+TEST(AllocFree, TextTraceReplayIsChunkBoundedNotFileBound)
+{
+    // The same contract for a text trace, through the StreamSpec
+    // factory the simulator uses: lines are parsed into one chunk of
+    // records as the replay reaches them, never loaded whole.  stdio's
+    // read buffer and getline's line buffer come from malloc, outside
+    // this count; both are bounded by the longest line, not the file.
+    const std::uint64_t kRecords = 100'000;
+    const std::size_t kChunk = 512;
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("arcc_test_alloc_trace." + std::to_string(::getpid()) +
+          ".txt"))
+            .string();
+    {
+        std::ofstream out(path);
+        out << "# a text trace\n";
+        Rng rng(7);
+        for (std::uint64_t i = 0; i < kRecords; ++i) {
+            out << std::hex << rng.below(1ULL << 34) << std::dec
+                << (rng.chance(0.3) ? " W " : " R ") << rng.below(500)
+                << '\n';
+        }
+    }
+
+    std::uint64_t checksum = 0;
+    std::uint64_t laps = 0;
+    std::uint64_t stream_bytes = 0;
+    std::uint64_t steady_allocs = 0;
+    {
+        const std::uint64_t bytes_before =
+            g_allocBytes.load(std::memory_order_relaxed);
+        StreamSpec spec = traceStreamSpec(path, 1.0, kChunk);
+        for (std::uint64_t i = 0; i < kRecords; ++i) // cold lap.
+            checksum += spec.next().addr;
+        stream_bytes = g_allocBytes.load(std::memory_order_relaxed) -
+                       bytes_before;
+
+        const std::uint64_t allocs_before =
+            g_allocs.load(std::memory_order_relaxed);
+        for (std::uint64_t i = 0; i < kRecords; ++i) // warm lap.
+            checksum += spec.next().addr;
+        steady_allocs = g_allocs.load(std::memory_order_relaxed) -
+                        allocs_before;
+        laps = spec.laps();
+    }
+
+    EXPECT_NE(checksum, 0u);
+    EXPECT_EQ(laps, 2u);
+    EXPECT_EQ(steady_allocs, 0u)
+        << "a warm text-trace lap must not touch the heap";
+    EXPECT_LT(stream_bytes, 64 * 1024u)
+        << "a text trace must stream one chunk, not load the file";
     std::remove(path.c_str());
 }
 

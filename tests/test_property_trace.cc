@@ -4,10 +4,10 @@
  *
  *  - seed-logged random access streams survive the
  *    text -> binary -> text round trip bit-identically, and the
- *    binary -> accesses -> binary trip byte-identically;
- *  - capture / replay closure: a TraceWriter-captured synthetic
- *    stream replayed through TraceReplay / TraceStream reproduces the
- *    *exact* SimResult of the live generator run, bit for bit.
+ *    binary -> text -> binary trip byte-identically;
+ *  - capture / replay closure: a captured synthetic stream replayed
+ *    through TraceStream reproduces the *exact* SimResult of the live
+ *    generator run, bit for bit.
  *
  * Every randomised case logs its seed via SCOPED_TRACE so a failure
  * is reproducible from the test output alone.
@@ -18,7 +18,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 #include <unistd.h>
 
 #include "common/rng.hh"
@@ -51,6 +51,15 @@ struct TempFiles
     std::vector<std::string> paths;
 };
 
+/** The bytes of the file at `path`. */
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
 /** A random access stream stressing the full field ranges. */
 std::vector<CoreWorkload::Access>
 randomAccesses(std::uint64_t seed, int n)
@@ -77,29 +86,30 @@ TEST(TraceRoundTripProperty, TextBinaryTextIsBitIdentical)
     for (std::uint64_t seed : {1ULL, 42ULL, 987654321ULL, 2026ULL}) {
         SCOPED_TRACE("seed=" + std::to_string(seed));
         auto accesses = randomAccesses(seed, 2000);
+        TempFiles files;
+        for (const char *tag : {"text1", "bin1", "text2", "bin2"})
+            files.paths.push_back(tempPath(std::string("rt.") + tag));
+        const std::string &text1 = files.paths[0];
+        const std::string &bin1 = files.paths[1];
+        const std::string &text2 = files.paths[2];
+        const std::string &bin2 = files.paths[3];
+        {
+            std::ofstream out(text1);
+            TraceWriter writer(out, /*binary=*/false);
+            for (const auto &a : accesses)
+                writer.append(a);
+        }
 
-        std::ostringstream text1;
-        TraceWriter writer(text1);
-        for (const auto &a : accesses)
-            writer.append(a);
-
-        std::istringstream text_in(text1.str());
-        std::ostringstream bin1;
-        ASSERT_EQ(textTraceToBinary(text_in, bin1), 2000u);
-
-        std::istringstream bin_in(bin1.str());
-        std::ostringstream text2;
-        ASSERT_EQ(binaryTraceToText(bin_in, text2), 2000u);
+        ASSERT_EQ(convertTrace(text1, bin1, /*binary=*/true), 2000u);
+        ASSERT_EQ(convertTrace(bin1, text2, /*binary=*/false), 2000u);
 
         // Canonical text in, canonical text out: bit-identical.
-        EXPECT_EQ(text1.str(), text2.str());
+        EXPECT_EQ(fileBytes(text1), fileBytes(text2));
 
         // And the binary itself round-trips byte-identically through
         // a decode -> re-encode pass.
-        std::istringstream text2_in(text2.str());
-        std::ostringstream bin2;
-        ASSERT_EQ(textTraceToBinary(text2_in, bin2), 2000u);
-        EXPECT_EQ(bin1.str(), bin2.str());
+        ASSERT_EQ(convertTrace(text2, bin2, /*binary=*/true), 2000u);
+        EXPECT_EQ(fileBytes(bin1), fileBytes(bin2));
     }
 }
 
@@ -108,17 +118,24 @@ TEST(TraceRoundTripProperty, ParsedFieldsMatchTheOriginals)
     for (std::uint64_t seed : {7ULL, 5150ULL}) {
         SCOPED_TRACE("seed=" + std::to_string(seed));
         auto accesses = randomAccesses(seed, 1000);
-        std::ostringstream text;
-        TraceWriter writer(text);
-        for (const auto &a : accesses)
-            writer.append(a);
-        std::istringstream in(text.str());
-        auto parsed = parseTrace(in);
-        ASSERT_EQ(parsed.size(), accesses.size());
-        for (std::size_t i = 0; i < parsed.size(); ++i) {
-            EXPECT_EQ(parsed[i].addr, accesses[i].addr) << i;
-            EXPECT_EQ(parsed[i].isWrite, accesses[i].isWrite) << i;
-            EXPECT_EQ(parsed[i].instrGap, accesses[i].instrGap) << i;
+        TempFiles files;
+        files.paths.push_back(tempPath("parsed.txt"));
+        {
+            std::ofstream out(files.paths[0]);
+            TraceWriter writer(out, /*binary=*/false);
+            for (const auto &a : accesses)
+                writer.append(a);
+        }
+        std::string error;
+        const std::unique_ptr<TraceStream> stream =
+            TraceStream::open(files.paths[0], error, /*chunkRecords=*/64);
+        ASSERT_TRUE(stream) << error;
+        ASSERT_EQ(stream->records(), accesses.size());
+        for (std::size_t i = 0; i < accesses.size(); ++i) {
+            const CoreWorkload::Access a = stream->next();
+            EXPECT_EQ(a.addr, accesses[i].addr) << i;
+            EXPECT_EQ(a.isWrite, accesses[i].isWrite) << i;
+            EXPECT_EQ(a.instrGap, accesses[i].instrGap) << i;
         }
     }
 }

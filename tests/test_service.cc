@@ -10,8 +10,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <poll.h>
@@ -241,6 +243,44 @@ TEST_F(TraceRequestTest, ContentChangesTheCanonicalForm)
     ASSERT_TRUE(
         ServiceRequest::parse(after.canonical(), again, err));
     EXPECT_EQ(again.canonical(), after.canonical());
+}
+
+TEST_F(TraceRequestTest, BadTraceIsAnErrorResponseNotAnExit)
+{
+    // A malformed, an empty and a torn trace each fail their own
+    // request: the service answers every one, caches none, and keeps
+    // serving.
+    SimService::Options opts;
+    opts.workers = 1;
+    SimService service(opts);
+    const std::pair<std::string, const char *> cases[] = {
+        {"1000 R 5\nzzz Q 5\n", "line 2: 'zzz' is not a hex address"},
+        {"# comments only\n", "contains no accesses"},
+        {std::string(kTraceMagic, sizeof kTraceMagic) + "abc",
+         "is truncated: 3 payload bytes"},
+    };
+    const std::string path = ::testing::TempDir() + "svc_bad_trace.trc";
+    for (const auto &[bytes, message] : cases) {
+        SCOPED_TRACE(message);
+        {
+            std::ofstream out(path, std::ios::binary);
+            out << bytes;
+        }
+        std::string line = "{\"kind\":\"trace\",\"paths\":[";
+        for (int core = 0; core < 4; ++core)
+            line.append(core ? "," : "").append(json::quote(path));
+        line += "],\"instrs\":2000}";
+        const ServiceResponse resp = service.evaluate(line);
+        EXPECT_EQ(resp.body.rfind("{\"ok\":false", 0), 0u) << resp.body;
+        EXPECT_NE(resp.body.find(message), std::string::npos)
+            << resp.body;
+    }
+    std::remove(path.c_str());
+
+    const ServiceResponse stats = service.evaluate("{\"kind\":\"stats\"}");
+    EXPECT_EQ(stats.body.rfind("{\"ok\":true", 0), 0u) << stats.body;
+    EXPECT_EQ(service.stats().errors, 3u);
+    EXPECT_EQ(service.stats().cacheEntries, 0u);
 }
 
 // --- the response cache -------------------------------------------------
