@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -196,19 +197,18 @@ ArccMemory::ArccMemory(const FunctionalConfig &config)
         fatal("ArccMemory: level-2 upgrade needs 4 channels, have %d",
               config_.channels);
 
-    slotBytes_ = relaxedCodec_->sliceBytes();
-    if (upgradedCodec_)
-        slotBytes_ = std::max(slotBytes_, upgradedCodec_->sliceBytes());
-    if (upgraded2Codec_)
-        slotBytes_ = std::max(slotBytes_, upgraded2Codec_->sliceBytes());
+    // A slot holds its rank's slices side by side, so every mode of
+    // the scheme must cut a device's share of a line the same width.
+    const int slice = relaxedCodec_->sliceBytes();
+    for (const LineCodec *c : {upgradedCodec_.get(), upgraded2Codec_.get()})
+        if (c && c->sliceBytes() != slice)
+            fatal("ArccMemory: scheme %s mixes %d- and %d-byte device "
+                  "slices",
+                  toString(config_.scheme), slice, c->sliceBytes());
+    slotBytes_ = static_cast<std::size_t>(config_.devicesPerRank) * slice;
 
     linesPerRow_ = config_.linesPerRow();
-    deviceStride_ = static_cast<std::size_t>(config_.banks) * config_.rows *
-                    linesPerRow_ * slotBytes_;
-    storage_.assign(static_cast<std::size_t>(config_.channels) *
-                        config_.ranksPerChannel * config_.devicesPerRank *
-                        deviceStride_,
-                    0);
+    storage_.assign(capacity() / kLineBytes * slotBytes_, 0);
     spared_.assign(static_cast<std::size_t>(config_.channels) *
                        config_.ranksPerChannel,
                    {});
@@ -250,7 +250,7 @@ ArccMemory::forEachSubLine(std::uint64_t group_base, const LineCodec &codec,
                            Fn &&fn) const
 {
     // Sub-line s holds codec devices [s * dpr, (s + 1) * dpr): one
-    // address decode per sub-line, then a walk down its rank's rows.
+    // address decode per sub-line.
     const int dpr = config_.devicesPerRank;
     const int devices = codec.devices();
     SubLine sl;
@@ -259,19 +259,24 @@ ArccMemory::forEachSubLine(std::uint64_t group_base, const LineCodec &codec,
                        static_cast<std::uint64_t>(sl.first / dpr) *
                            kLineBytes);
         sl.devices = std::min(dpr, devices - sl.first);
-        const std::size_t rank_row =
-            (static_cast<std::size_t>(sl.loc.channel) *
-                 config_.ranksPerChannel +
-             sl.loc.rank) *
-            dpr;
-        const std::size_t slot =
-            (static_cast<std::size_t>(sl.loc.bank) * config_.rows +
-             sl.loc.row) *
-                linesPerRow_ +
-            sl.loc.col;
-        sl.offset = rank_row * deviceStride_ + slot * slotBytes_;
         fn(sl);
     }
+}
+
+std::uint8_t *
+ArccMemory::groupStorage(std::uint64_t group_base)
+{
+    return const_cast<std::uint8_t *>(
+        std::as_const(*this).groupStorage(group_base));
+}
+
+const std::uint8_t *
+ArccMemory::groupStorage(std::uint64_t group_base) const
+{
+    // Every group walk's copy starts here: a base past the memory must
+    // panic, not copy outside the slab.
+    ARCC_ASSERT(group_base < capacity());
+    return storage_.data() + group_base / kLineBytes * slotBytes_;
 }
 
 const LineCodec &
@@ -369,14 +374,12 @@ ArccMemory::gatherGroupInto(std::uint64_t group_base, PageMode mode,
     const LineCodec &codec = codecFor(mode);
     const std::size_t slice = codec.sliceBytes();
     out.resize(codec.devices() * slice);
+    std::memcpy(out.data(), groupStorage(group_base), out.size());
+    if (!overlay || faults_.empty())
+        return;
     forEachSubLine(group_base, codec, [&](const SubLine &sl) {
-        const std::uint8_t *p = storage_.data() + sl.offset;
-        std::uint8_t *rows = out.data() + sl.first * slice;
-        for (int d = 0; d < sl.devices; ++d, p += deviceStride_)
-            std::memcpy(rows + d * slice, p, slice);
-        if (!overlay)
-            return;
         // Faults in list order, as if each device applied its own.
+        std::uint8_t *rows = out.data() + sl.first * slice;
         for (const FunctionalFault &f : faults_)
             if (f.device < sl.devices && covers(f, sl.loc))
                 applyOverlay({rows + f.device * slice, slice}, f, sl.loc);
@@ -388,14 +391,10 @@ ArccMemory::storeGroup(std::uint64_t group_base, PageMode mode,
                        std::span<const std::uint8_t> line)
 {
     const LineCodec &codec = codecFor(mode);
-    const std::size_t slice = codec.sliceBytes();
-    ARCC_ASSERT(line.size() == codec.devices() * slice);
-    forEachSubLine(group_base, codec, [&](const SubLine &sl) {
-        std::uint8_t *p = storage_.data() + sl.offset;
-        const std::uint8_t *rows = line.data() + sl.first * slice;
-        for (int d = 0; d < sl.devices; ++d, p += deviceStride_)
-            std::memcpy(p, rows + d * slice, slice);
-    });
+    ARCC_ASSERT(line.size() ==
+                static_cast<std::size_t>(codec.devices()) *
+                    codec.sliceBytes());
+    std::memcpy(groupStorage(group_base), line.data(), line.size());
 }
 
 void
@@ -736,11 +735,9 @@ ArccMemory::rawFill(std::uint64_t addr, std::uint8_t value)
     PageMode mode = pageTable_.mode(pageOf(addr));
     const LineCodec &codec = codecFor(mode);
     std::uint64_t base = addr & ~(groupBytes(mode) - 1);
-    forEachSubLine(base, codec, [&](const SubLine &sl) {
-        std::uint8_t *p = storage_.data() + sl.offset;
-        for (int d = 0; d < sl.devices; ++d, p += deviceStride_)
-            std::memset(p, value, codec.sliceBytes());
-    });
+    std::memset(groupStorage(base), value,
+                static_cast<std::size_t>(codec.devices()) *
+                    codec.sliceBytes());
 }
 
 bool

@@ -346,26 +346,32 @@ class ArccMemory
 
     /**
      * One 64B sub-line of an ECC group: codec devices
-     * [first, first + devices) live in the sub-line's rank, device
-     * first + d at storage_[offset + d * deviceStride_].  The last
-     * sub-line of a LOT-ECC 18-device group stores 8 of its rank's 9
-     * devices.
+     * [first, first + devices) are devices [0, devices) of the slot at
+     * loc, so they sit at groupStorage(base) + first * sliceBytes,
+     * where the group's DeviceSlices keeps them.  The last sub-line of
+     * a LOT-ECC 18-device group stores 8 of its rank's 9 devices.
      */
     struct SubLine
     {
         Loc loc;
         int first;
         int devices;
-        std::size_t offset;
     };
 
     Loc locOf(std::uint64_t addr) const;
 
     /** Call fn(const SubLine &) for each sub-line of a group, in
-     *  device order: the whole address computation of a group walk. */
+     *  device order: the address decode behind the fault overlays and
+     *  the erasure list. */
     template <class Fn>
     void forEachSubLine(std::uint64_t group_base, const LineCodec &codec,
                         Fn &&fn) const;
+
+    /** First stored byte of the group at group_base: its slots are
+     *  consecutive, so the group's encoded line is the
+     *  devices * sliceBytes bytes from here, in DeviceSlices layout. */
+    std::uint8_t *groupStorage(std::uint64_t group_base);
+    const std::uint8_t *groupStorage(std::uint64_t group_base) const;
 
     /** Codec serving a page mode. */
     const LineCodec &codecFor(PageMode mode) const;
@@ -429,14 +435,19 @@ class ArccMemory
     std::unique_ptr<LineCodec> relaxedCodec_;
     std::unique_ptr<LineCodec> upgradedCodec_;
     std::unique_ptr<LineCodec> upgraded2Codec_;
-    int slotBytes_;
+    /** Bytes per slot: devicesPerRank slices of the scheme's one
+     *  slice width. */
+    std::size_t slotBytes_;
     int linesPerRow_;
 
-    /** One row of slots per device, rows ordered
-     *  (channel * ranks + rank) * devices + device. */
+    /**
+     * The slab, slot-major: one slot per (channel, rank, bank, row,
+     * col), holding that rank's devicesPerRank slices side by side
+     * (device d at d * sliceBytes).  Slots are in line-address order
+     * (slot addr / kLineBytes), so the sub-lines of a group are
+     * consecutive slots and a group walk is one memcpy or memset.
+     */
     std::vector<std::uint8_t> storage_;
-    /** Bytes per device row. */
-    std::size_t deviceStride_;
     std::vector<FunctionalFault> faults_;
     /** sparedDevices_[channel * ranks + rank]. */
     std::vector<std::vector<int>> spared_;

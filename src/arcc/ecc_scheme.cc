@@ -49,6 +49,10 @@ RsLineCodec::RsLineCodec(int n, int k, int data_bytes, int max_correct,
     if (data_bytes % k != 0)
         fatal("RsLineCodec: %dB line not divisible into RS(%d,%d)",
               data_bytes, n, k);
+    // decodeInto screens a line's codewords as one SoA block.
+    if (codewords_ > RsWorkspace::kSoaLanes)
+        fatal("RsLineCodec: %d codewords per line, at most %d",
+              codewords_, RsWorkspace::kSoaLanes);
 }
 
 void
@@ -82,35 +86,48 @@ RsLineCodec::decodeInto(DeviceSlices &slices,
     ARCC_ASSERT(data.size() == static_cast<std::size_t>(dataBytes_));
     const int n = rs_.n();
     const int k = rs_.k();
+    const int cw = codewords_;
+    RsWorkspace &rws = ws.rs;
 
     out.status = DecodeStatus::Clean;
     out.symbolsCorrected = 0;
     out.positions.clear();
 
-    // The codeword staging buffer lives beside the RS scratch (the
-    // decoder never touches ws.rs.word).
-    const std::span<std::uint8_t> word(ws.rs.word.data(),
+    // Device rows are SoA rows of stride cw: one interleaved pass
+    // computes every codeword's syndromes, and only the codewords it
+    // flags are gathered into ws.rs.word (which the decoder never
+    // touches) and decoded.  A clean screen skips the erasures, as
+    // decode() does.
+    const bool any = rs_.computeSyndromesSoa(
+        slices.data(), cw, cw, rws.syndSoa.data(), rws.soaFlags.data());
+    const int rr = rs_.r();
+    const std::span<std::uint8_t> word(rws.word.data(),
                                        static_cast<std::size_t>(n));
-    for (int c = 0; c < codewords_; ++c) {
-        for (int d = 0; d < n; ++d)
-            word[d] = slices[d * codewords_ + c];
-        const RsDecodeView res =
-            rs_.decode(word, ws.rs, maxCorrect_, erased);
-        if (res.status == DecodeStatus::Detected) {
-            out.status = DecodeStatus::Detected;
-            continue;
-        }
-        if (res.status == DecodeStatus::Corrected) {
+    for (int c = 0; c < cw; ++c) {
+        if (any && rws.soaFlags[c] != 0) {
+            for (int d = 0; d < n; ++d)
+                word[d] = slices[d * cw + c];
+            for (int j = 0; j < rr; ++j)
+                rws.synd[j] = rws.syndSoa[j * cw + c];
+            const RsDecodeView res = rs_.decodeWithSyndromes(
+                word,
+                std::span<const std::uint8_t>(rws.synd.data(),
+                                              static_cast<std::size_t>(rr)),
+                rws, maxCorrect_, erased);
+            if (res.status == DecodeStatus::Detected) {
+                out.status = DecodeStatus::Detected;
+                continue;
+            }
             if (out.status != DecodeStatus::Detected)
                 out.status = DecodeStatus::Corrected;
             out.symbolsCorrected += res.symbolsCorrected;
             for (int p : res.positions) {
                 out.positions.push_back(p);
-                slices[p * codewords_ + c] = word[p]; // write back.
+                slices[p * cw + c] = word[p]; // write back.
             }
         }
         for (int s = 0; s < k; ++s)
-            data[c * k + s] = word[s];
+            data[c * k + s] = slices[s * cw + c];
     }
 }
 

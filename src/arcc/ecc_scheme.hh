@@ -20,7 +20,7 @@
  *  | ARCC upgraded         | RS(36,32)   | 4 /128B | 36      | 4B    |
  *  | ARCC 2nd-level (5.1)  | RS(72,64)   | 4 /256B | 72      | 4B    |
  *  | LOT-ECC 9-device      | checksum+XOR| - / 64B | 9       | 8B+2B |
- *  | LOT-ECC 18-device     | checksum+XOR+spare    | 18      | 4B+2B |
+ *  | LOT-ECC 18-device     | checksum+XOR| - /128B | 17 of 18| 8B+2B |
  */
 
 #ifndef ARCC_ARCC_ECC_SCHEME_HH
@@ -158,7 +158,9 @@ class LineCodec
 
 /**
  * Reed-Solomon line codec: dataBytes/k codewords of RS(n, k); device d
- * stores symbol d of every codeword.
+ * stores symbol d of every codeword.  decodeInto computes every
+ * codeword's syndromes in one pass over the device rows (an SoA block
+ * of stride = codewords) and decodes only the codewords it flags.
  */
 class RsLineCodec : public LineCodec
 {

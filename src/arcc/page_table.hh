@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
+
 namespace arcc
 {
 
@@ -47,6 +49,7 @@ class PageTable
     PageMode
     mode(std::uint64_t page) const
     {
+        ARCC_ASSERT(page < modes_.size());
         return modes_[page];
     }
 

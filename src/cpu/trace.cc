@@ -10,10 +10,14 @@
 #include <algorithm>
 #include <cerrno>
 #include <charconv>
+#include <cstdarg>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <ostream>
+#include <stdexcept>
+#include <string>
 #include <string_view>
 #include <unistd.h>
 
@@ -55,6 +59,21 @@ decodeRecord(const std::uint8_t *in)
     a.isWrite = (gap & kWriteBit) != 0;
     a.instrGap = gap & ~kWriteBit;
     return a;
+}
+
+/**
+ * A replay error: thrown, naming the file, so that it ends the replay
+ * and not the process (see TraceStream::next).
+ */
+[[noreturn]] __attribute__((format(printf, 2, 3))) void
+replayError(const std::string &path, const char *fmt, ...)
+{
+    char what[256];
+    va_list ap;
+    va_start(ap, fmt);
+    std::vsnprintf(what, sizeof what, fmt, ap);
+    va_end(ap);
+    throw std::runtime_error("trace file '" + path + "' " + what);
 }
 
 /**
@@ -287,7 +306,7 @@ TraceStream::refill()
     if (cursor_ == records_) {
         if (std::fseek(file_, binary_ ? sizeof kTraceMagic : 0,
                        SEEK_SET) != 0)
-            fatal("cannot seek in trace file '%s'", path_.c_str());
+            replayError(path_, "cannot be rewound");
         cursor_ = 0;
         line_no_ = 0;
     }
@@ -297,17 +316,18 @@ TraceStream::refill()
         const std::size_t got =
             std::fread(buf_.data(), kTraceRecordBytes, want, file_);
         if (got != want)
-            fatal("trace file '%s' shrank mid-replay: wanted %zu "
-                  "records at %llu, got %zu",
-                  path_.c_str(), want,
-                  static_cast<unsigned long long>(cursor_), got);
+            replayError(path_,
+                        "shrank mid-replay: wanted %zu records at %llu, "
+                        "got %zu",
+                        want, static_cast<unsigned long long>(cursor_),
+                        got);
     } else {
         std::string error;
         for (std::size_t i = 0; i < want; ++i)
             if (!readTextRecord(&buf_[i * kTraceRecordBytes], error))
-                fatal("trace file '%s' changed mid-replay: %s",
-                      path_.c_str(),
-                      error.empty() ? "it ended early" : error.c_str());
+                replayError(path_, "changed mid-replay: %s",
+                            error.empty() ? "it ended early"
+                                          : error.c_str());
     }
     cursor_ += want;
     buf_records_ = want;
@@ -401,7 +421,15 @@ traceStreamSpec(const std::string &path, double baseIpc,
         TraceStream::open(path, error, chunkRecords);
     if (!stream)
         fatal("%s", error.c_str());
-    return traceStreamSpec(std::move(stream), baseIpc);
+    StreamSpec spec = traceStreamSpec(std::move(stream), baseIpc);
+    spec.next = [next = std::move(spec.next)]() {
+        try {
+            return next();
+        } catch (const std::runtime_error &e) {
+            fatal("%s", e.what());
+        }
+    };
+    return spec;
 }
 
 } // namespace arcc

@@ -114,8 +114,10 @@ class TraceStream
     TraceStream(const TraceStream &) = delete;
     TraceStream &operator=(const TraceStream &) = delete;
 
-    /** Next access (wraps around at the end of the trace).  fatal()
-     *  if the file changed under the replay. */
+    /** Next access (wraps around at the end of the trace).  Throws
+     *  std::runtime_error, naming the file, if the file changed under
+     *  the replay (a binary trace that shrank, a text trace whose
+     *  lines changed or ran out); the stream is then unusable. */
     CoreWorkload::Access next();
 
     /** The trace file. */
@@ -174,7 +176,10 @@ StreamSpec traceStreamSpec(std::shared_ptr<TraceStream> stream,
                            double baseIpc);
 
 /** Open `path` with TraceStream::open and wrap it as above; fatal()
- *  with the open's error on a bad trace. */
+ *  with the open's error on a bad trace, and with next()'s error when
+ *  the file changes under the replay.  (A caller that must outlive a
+ *  bad trace, like SimService, wraps an open stream itself and
+ *  answers the exception.) */
 StreamSpec
 traceStreamSpec(const std::string &path, double baseIpc,
                 std::size_t chunkRecords =

@@ -14,6 +14,7 @@
 
 #include "ecc/gf256_simd.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
@@ -122,26 +123,56 @@ namespace gfsimd
 namespace
 {
 
+/**
+ * The Horner chains of lanes [l0, l0 + 4) and roots [j0, j0 + 2) in
+ * one pass over the rows: eight independent chains in registers, so
+ * their product-table loads overlap instead of each waiting on the
+ * last.  A lane or root past the end is clamped to the last one: its
+ * chain repeats that one and stores the same bytes.
+ */
+void
+hornerBlock(const std::uint8_t *soa, std::size_t stride, int symbols,
+            int l0, int lanes, const std::uint8_t *roots, int j0, int rr,
+            std::uint8_t *synd_soa, std::uint8_t *flags)
+{
+    constexpr int L = 4, R = 2;
+    std::size_t lane[L];
+    for (int l = 0; l < L; ++l)
+        lane[l] = static_cast<std::size_t>(std::min(l0 + l, lanes - 1));
+    int root[R];
+    const std::uint8_t *table[R];
+    for (int r = 0; r < R; ++r) {
+        root[r] = std::min(j0 + r, rr - 1);
+        table[r] = GF256::mulTable() +
+                   static_cast<std::size_t>(roots[root[r]]) * GF256::kOrder;
+    }
+    std::uint8_t acc[R][L] = {};
+    for (int i = 0; i < symbols; ++i) {
+        const std::uint8_t *row = soa + static_cast<std::size_t>(i) * stride;
+        for (int l = 0; l < L; ++l) {
+            const std::uint8_t c = row[lane[l]];
+            for (int r = 0; r < R; ++r)
+                acc[r][l] = table[r][acc[r][l]] ^ c;
+        }
+    }
+    for (int r = 0; r < R; ++r)
+        for (int l = 0; l < L; ++l) {
+            synd_soa[static_cast<std::size_t>(root[r]) * stride + lane[l]] =
+                acc[r][l];
+            flags[lane[l]] |= acc[r][l];
+        }
+}
+
 void
 syndromeSoaScalar(const std::uint8_t *soa, std::size_t stride,
                   int symbols, int lanes, const std::uint8_t *roots,
                   int rr, std::uint8_t *synd_soa, std::uint8_t *flags)
 {
     std::memset(flags, 0, static_cast<std::size_t>(lanes));
-    for (int j = 0; j < rr; ++j) {
-        const GF256::MulRow row = GF256::mulRow(roots[j]);
-        std::uint8_t *srow = synd_soa + static_cast<std::size_t>(j) *
-                                            stride;
-        for (int l = 0; l < lanes; ++l) {
-            std::uint8_t acc = 0;
-            for (int i = 0; i < symbols; ++i)
-                acc = row(acc) ^ soa[static_cast<std::size_t>(i) *
-                                         stride +
-                                     l];
-            srow[l] = acc;
-            flags[l] |= acc;
-        }
-    }
+    for (int l0 = 0; l0 < lanes; l0 += 4)
+        for (int j0 = 0; j0 < rr; j0 += 2)
+            hornerBlock(soa, stride, symbols, l0, lanes, roots, j0, rr,
+                        synd_soa, flags);
 }
 
 } // anonymous namespace
@@ -319,8 +350,14 @@ syndromeSoaAt(simd::Tier t, const std::uint8_t *soa, std::size_t stride,
               int symbols, int lanes, const std::uint8_t *roots, int rr,
               std::uint8_t *synd_soa, std::uint8_t *flags)
 {
-    ARCC_ASSERT(stride % kLaneBlock == 0 &&
-                stride >= static_cast<std::size_t>(roundUpLanes(lanes)));
+    if (stride % kLaneBlock != 0) {
+        // One line's device rows (stride = lanes = codewords per
+        // line), which the vector tiers' 16-lane blocks would overrun.
+        ARCC_ASSERT(stride == static_cast<std::size_t>(lanes));
+        t = simd::Tier::Scalar;
+    } else {
+        ARCC_ASSERT(stride >= static_cast<std::size_t>(roundUpLanes(lanes)));
+    }
     switch (t) {
 #if defined(ARCC_SIMD_X86)
       case simd::Tier::Avx2:

@@ -20,17 +20,26 @@
  *
  * syndromeSoa is the one dispatched kernel: ReedSolomon::decodeSoa
  * screens each ArccMemory::accessBatch run with it, and the decode of
- * a flagged lane is scalar.  syndromeSoaAt names the tier, so tests
- * can run the scalar and vector paths in one process and assert
- * bit-identical results.  The scalar tier is the same arithmetic as
- * ReedSolomon::computeSyndromes, which is fuzzed against RsReference
- * -- the oracle chain the dispatch contract hangs off.
+ * a flagged lane is scalar.  RsLineCodec::decodeInto screens one
+ * line's device rows with it too: a block of stride = lanes =
+ * codewords per line (2 or 4 for every codec here), which runs the
+ * scalar tier.
+ * syndromeSoaAt names the tier, so tests can run the scalar and
+ * vector paths in one process and assert bit-identical results.  The
+ * scalar tier is the same arithmetic as ReedSolomon::computeSyndromes,
+ * which is fuzzed against RsReference -- the oracle chain the
+ * dispatch contract hangs off -- with its Horner chains interleaved,
+ * eight at a time, across lanes and roots.
  *
  * Lane-count convention: rows are processed in 16-lane blocks, so the
  * kernel may read and write up to roundUp16(lanes) entries of every
  * row (garbage lanes compute garbage, which callers ignore).  The
- * caller must therefore provide stride >= roundUp16(lanes); the
- * RsWorkspace staging buffers use stride == kSoaLanes == 32.
+ * caller must therefore provide stride >= roundUp16(lanes) with
+ * stride % 16 == 0; the RsWorkspace staging buffers use stride ==
+ * kSoaLanes == 32.  The one exception is stride == lanes (one line's
+ * device rows): a stride that is not a multiple of 16 must equal
+ * lanes, and runs the scalar tier, which touches lanes [0, lanes)
+ * only.
  */
 
 #ifndef ARCC_ECC_GF256_SIMD_HH
@@ -66,17 +75,21 @@ roundUpLanes(int lanes)
  *
  * i.e. exactly ReedSolomon::computeSyndromes per lane.  flags[l] is
  * the OR of lane l's rr syndromes, so flags[l] != 0 marks a flagged
- * codeword.  Rows are processed in 16-lane blocks: entries of
- * synd_soa and flags in [lanes, roundUp16(lanes)) are clobbered with
- * garbage.
+ * codeword.  With stride % 16 == 0, rows are processed in 16-lane
+ * blocks: entries of synd_soa and flags in [lanes, roundUp16(lanes))
+ * are clobbered with garbage.  A stride that is not a multiple of 16
+ * runs the scalar tier at every tier and writes lanes [0, lanes) only.
  *
- * @pre stride >= roundUp16(lanes), stride % 16 == 0.
+ * @pre stride >= roundUp16(lanes), stride % 16 == 0; or
+ *      stride == lanes (one line's device rows).
  */
 void syndromeSoa(const std::uint8_t *soa, std::size_t stride,
                  int symbols, int lanes, const std::uint8_t *roots,
                  int rr, std::uint8_t *synd_soa, std::uint8_t *flags);
 
-/** syndromeSoa at an explicit tier (tests). */
+/** syndromeSoa at an explicit tier (tests); a narrow stride
+ *  (stride == lanes, not a multiple of 16) still runs the scalar
+ *  tier. */
 void syndromeSoaAt(simd::Tier t, const std::uint8_t *soa,
                    std::size_t stride, int symbols, int lanes,
                    const std::uint8_t *roots, int rr,

@@ -158,12 +158,15 @@ class ReedSolomon
      * lane l's word is soa[i * stride + l] for i in [0, n).  Computes
      * all r() syndromes of every lane into synd_soa (same transposed
      * layout, r() rows) and ORs each lane's syndromes into flags[l].
-     * Runs at the active SIMD tier; bit-identical per lane to
-     * computeSyndromes().  Allocation-free.
+     * Runs at the active SIMD tier, or at the scalar tier for one
+     * line's device rows (stride = lanes = codewords per line, not a
+     * multiple of 16: RsLineCodec::decodeInto); bit-identical per
+     * lane to computeSyndromes().  Allocation-free.
      *
-     * @pre stride is a multiple of 16 and >= lanes rounded up to 16;
-     *      entries in [lanes, roundUp16(lanes)) of every synd_soa row
-     *      and of flags are clobbered (see ecc/gf256_simd.hh).
+     * @pre stride is a multiple of 16 and >= lanes rounded up to 16,
+     *      or stride == lanes; with stride % 16 == 0, entries in
+     *      [lanes, roundUp16(lanes)) of every synd_soa row and of
+     *      flags are clobbered (see ecc/gf256_simd.hh).
      * @return true if any lane in [0, lanes) flagged.
      */
     bool computeSyndromesSoa(const std::uint8_t *soa, std::size_t stride,

@@ -103,6 +103,8 @@ struct RsWorkspace
     // The transposed block soa[symbol * kSoaLanes + lane] plus its
     // per-lane syndrome rows and screen flags.  ~10 KiB on top of the
     // scalar arena; one workspace still serves both paths.
+    // RsLineCodec::decodeInto screens a line's device rows in place
+    // and uses only syndSoa and soaFlags (stride = codewords).
 
     /** Codeword-transposed batch: symbol i of lane l at
      *  soa[i * kSoaLanes + l]. */

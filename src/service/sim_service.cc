@@ -336,7 +336,9 @@ SimService::computeBody(const ServiceRequest &req) const
         res = simulateMix(*mix, cfg, oracle);
         body += "mix";
     } else {
-        // A bad trace is this request's error, not the daemon's.
+        // A bad trace is this request's error, not the daemon's: open
+        // reports it here, and a file cut under the replay makes
+        // next() throw out of simulateStreams to process().
         std::vector<StreamSpec> streams;
         for (const std::string &path : req.tracePaths) {
             std::string error;

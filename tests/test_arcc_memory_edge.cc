@@ -157,6 +157,17 @@ TEST(ArccMemoryEdge, InjectFaultValidatesCoordinates)
     EXPECT_DEATH(mem.injectFault(f), "assertion");
 }
 
+TEST(ArccMemoryEdge, AddressPastCapacityPanics)
+{
+    // A write or a raw fill past the memory must panic before it
+    // touches the page table or the slab, in every build type.
+    ArccMemory mem(FunctionalConfig::arccSmall());
+    const std::vector<std::uint8_t> line(kLineBytes, 0x5a);
+    EXPECT_DEATH(mem.write(mem.capacity(), line), "assertion");
+    EXPECT_DEATH(mem.rawFill(mem.capacity(), 0), "assertion");
+    EXPECT_DEATH(mem.read(mem.capacity() + kPageBytes), "assertion");
+}
+
 TEST(ArccMemoryEdge, StatsCountReadsAndWrites)
 {
     ArccMemory mem(FunctionalConfig::arccSmall());

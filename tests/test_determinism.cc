@@ -287,13 +287,54 @@ randomLine(Rng &rng, std::vector<std::uint8_t> &line)
         b = static_cast<std::uint8_t>(rng.below(256));
 }
 
+/** Whether a memory's scheme has an upgraded page mode. */
+bool
+adaptive(const ArccMemory &mem)
+{
+    switch (mem.config().scheme) {
+      case SchemeKind::CommercialSccdcd:
+      case SchemeKind::DoubleChipSparing:
+      case SchemeKind::LotEcc9:
+        return false;
+      default:
+        return true;
+    }
+}
+
+/**
+ * The scrubber's per-group steps -- snapshot, read, write-0 and
+ * write-1 checks, restore -- without its page-mode transitions, which
+ * a fixed scheme has no mode for; folds each group's outcome.
+ */
+void
+crcFixedSweep(Crc32c &crc, ArccMemory &mem)
+{
+    const std::uint64_t group = mem.groupBytes(PageMode::Relaxed);
+    for (std::uint64_t addr = 0; addr < mem.capacity(); addr += group) {
+        const std::vector<std::uint8_t> raw = mem.rawSnapshot(addr);
+        const ReadResult r = mem.readWholeGroup(addr);
+        crcU64(crc, static_cast<std::uint64_t>(r.status));
+        crcU64(crc, static_cast<std::uint64_t>(r.symbolsCorrected));
+        mem.rawFill(addr, 0x00);
+        crcU64(crc, mem.rawCheck(addr, 0x00));
+        mem.rawFill(addr, 0xff);
+        crcU64(crc, mem.rawCheck(addr, 0xff));
+        if (r.status == DecodeStatus::Detected)
+            mem.rawRestore(addr, raw);
+        else
+            mem.writeGroup(addr, r.data);
+    }
+}
+
 /**
  * Drive a memory through a seeded script -- line writes, batch reads,
  * sharded scrubs, page-mode changes up and down -- and return a
  * CRC-32C over everything it produced: every group's raw slices in
  * its final mode, the page modes, the stats, the scrub reports and
  * every batch read that decoded.  (A DUE read's data bytes are
- * unspecified, so only its status is folded in.)
+ * unspecified, so only its status is folded in.)  A fixed scheme
+ * runs crcFixedSweep where the script scrubs and changes no page
+ * mode.
  */
 std::uint32_t
 dataPlaneDigest(ArccMemory &mem, const std::vector<FunctionalFault> &boot,
@@ -302,6 +343,15 @@ dataPlaneDigest(ArccMemory &mem, const std::vector<FunctionalFault> &boot,
     Crc32c crc;
     Rng rng(seed);
     const Scrubber scrubber;
+    const bool upgrades = adaptive(mem);
+    auto scrub = [&](bool boot_scrub) {
+        if (!upgrades)
+            crcFixedSweep(crc, mem);
+        else if (boot_scrub)
+            crcReport(crc, scrubber.bootScrubParallel(mem));
+        else
+            crcReport(crc, scrubber.scrubParallel(mem));
+    };
     const std::uint64_t pages = mem.pageTable().pages();
     const std::uint64_t lines = mem.capacity() / kLineBytes;
     std::vector<std::uint8_t> line;
@@ -312,7 +362,7 @@ dataPlaneDigest(ArccMemory &mem, const std::vector<FunctionalFault> &boot,
     }
     for (const FunctionalFault &f : boot)
         mem.injectFault(f);
-    crcReport(crc, scrubber.bootScrubParallel(mem));
+    scrub(/*boot_scrub=*/true);
 
     auto writes = [&](int n) {
         for (int i = 0; i < n; ++i) {
@@ -340,12 +390,12 @@ dataPlaneDigest(ArccMemory &mem, const std::vector<FunctionalFault> &boot,
                 crc.update(r.data);
         }
     }
-    crcReport(crc, scrubber.scrubParallel(mem));
+    scrub(/*boot_scrub=*/false);
 
     std::vector<PageMode> modes = {PageMode::Relaxed, PageMode::Upgraded};
     if (mem.config().allowLevel2)
         modes.push_back(PageMode::Upgraded2);
-    for (int i = 0; i < 24; ++i) {
+    for (int i = 0; upgrades && i < 24; ++i) {
         const std::uint64_t page = rng.below(pages);
         const PageMode cur = mem.pageTable().mode(page);
         PageMode next = modes[rng.below(modes.size())];
@@ -354,7 +404,7 @@ dataPlaneDigest(ArccMemory &mem, const std::vector<FunctionalFault> &boot,
         mem.setPageMode(page, next);
     }
     writes(200);
-    crcReport(crc, scrubber.scrubParallel(mem));
+    scrub(/*boot_scrub=*/false);
 
     const MemoryStats &s = mem.stats();
     for (std::uint64_t v : {s.reads, s.writes, s.deviceReads, s.deviceWrites,
@@ -445,6 +495,39 @@ TEST(ArccMemoryDeterminism, RawStorageGolden)
                              FaultKind::StuckAt0, 0xff, 1, 0, 33)},
             13),
         3118032291u);
+
+    // The fixed codes: SCCDCD's 36-device rank of 2-byte slices, and
+    // double chip sparing with a spared device read as an erasure.
+    ArccMemory baseline(FunctionalConfig::baselineSmall());
+    EXPECT_EQ(
+        dataPlaneDigest(
+            baseline,
+            {functionalFault(0, 0, 20, FaultScope::Device,
+                             FaultKind::Corrupt, 0xff)},
+            {functionalFault(1, 0, 3, FaultScope::Lane,
+                             FaultKind::StuckAt1, 0x44),
+             functionalFault(0, 0, 35, FaultScope::Column,
+                             FaultKind::StuckAt0, 0xff, 1, 0, 21),
+             functionalFault(1, 0, 0, FaultScope::Cell,
+                             FaultKind::Corrupt, 0xff, 0, 9, 50)},
+            14),
+        2922636452u);
+
+    FunctionalConfig dcs_config = FunctionalConfig::baselineSmall();
+    dcs_config.scheme = SchemeKind::DoubleChipSparing;
+    ArccMemory dcs(dcs_config);
+    dcs.spareDevice(1, 0, 30);
+    EXPECT_EQ(
+        dataPlaneDigest(
+            dcs,
+            {functionalFault(1, 0, 30, FaultScope::Device,
+                             FaultKind::Corrupt, 0xff)},
+            {functionalFault(1, 0, 6, FaultScope::Row,
+                             FaultKind::StuckAt0, 0x5a, 1, 17),
+             functionalFault(0, 0, 12, FaultScope::Bank,
+                             FaultKind::StuckAt1, 0x80, 0)},
+            15),
+        3755377548u);
 }
 
 // --- fleet lifetime Monte Carlo ------------------------------------------

@@ -129,6 +129,87 @@ TEST(Gf256Simd, SyndromeSoaMatchesPerWordSyndromesBothTiers)
     }
 }
 
+TEST(Gf256Simd, NarrowStridesRunTheScalarTierAtEveryTier)
+{
+    // One line's device rows are an SoA block of stride = lanes =
+    // codewords per line (RsLineCodec::decodeInto screens them in
+    // place).  At every tier such a block must give computeSyndromes
+    // per lane, for odd and even root counts, and write nothing past
+    // its rr syndrome rows or its lanes' flags.
+    constexpr std::uint8_t kSentinel = 0xa5;
+    struct Shape { int n, k; };
+    for (const Shape shape : {Shape{9, 8}, Shape{18, 16}, Shape{20, 17},
+                              Shape{36, 32}, Shape{72, 64}}) {
+        ReedSolomon rs(shape.n, shape.k);
+        const int rr = rs.r();
+        std::vector<std::uint8_t> roots(rr);
+        for (int j = 0; j < rr; ++j)
+            roots[j] = GF256::alphaPow(j);
+        Rng rng(0x5a77 + shape.n);
+        for (int lanes = 1; lanes <= 8; ++lanes) {
+            const std::size_t stride = static_cast<std::size_t>(lanes);
+            std::vector<std::uint8_t> soa(shape.n * stride);
+            for (auto &b : soa)
+                b = static_cast<std::uint8_t>(rng.below(256));
+            // One clean lane: a flag must stay zero.
+            for (int i = 0; i < shape.k; ++i)
+                soa[i * stride] = static_cast<std::uint8_t>(rng.below(256));
+            std::vector<std::uint8_t> clean(shape.n);
+            for (int i = 0; i < shape.k; ++i)
+                clean[i] = soa[i * stride];
+            rs.encode(clean);
+            for (int i = shape.k; i < shape.n; ++i)
+                soa[i * stride] = clean[i];
+
+            for (const simd::Tier tier :
+                 {simd::Tier::Scalar, simd::activeTier()}) {
+                SCOPED_TRACE("n=" + std::to_string(shape.n) + " lanes=" +
+                             std::to_string(lanes) + " tier=" +
+                             simd::tierName(tier));
+                std::vector<std::uint8_t> synd(rr * stride + 16, kSentinel);
+                std::vector<std::uint8_t> flags(stride + 16, kSentinel);
+                gfsimd::syndromeSoaAt(tier, soa.data(), stride, shape.n,
+                                      lanes, roots.data(), rr, synd.data(),
+                                      flags.data());
+                std::vector<std::uint8_t> word(shape.n), expect(rr);
+                for (int l = 0; l < lanes; ++l) {
+                    for (int i = 0; i < shape.n; ++i)
+                        word[i] = soa[i * stride + l];
+                    const bool any = rs.computeSyndromes(word, expect);
+                    for (int j = 0; j < rr; ++j)
+                        ASSERT_EQ(synd[j * stride + l], expect[j])
+                            << "lane " << l << " synd " << j;
+                    ASSERT_EQ(flags[l] != 0, any) << "lane " << l;
+                }
+                EXPECT_EQ(flags[0], 0) << "the encoded lane is clean";
+                for (std::size_t b = rr * stride; b < synd.size(); ++b)
+                    ASSERT_EQ(synd[b], kSentinel) << "syndrome byte " << b;
+                for (std::size_t b = stride; b < flags.size(); ++b)
+                    ASSERT_EQ(flags[b], kSentinel) << "flag byte " << b;
+            }
+        }
+    }
+}
+
+TEST(Gf256SimdDeath, OnlyOneLinesRowsMayUseANarrowStride)
+{
+    // A narrow stride must equal the lane count; any other stride must
+    // be whole 16-lane blocks covering every lane, at every tier.
+    std::vector<std::uint8_t> soa(36 * 48), synd(4 * 48), flags(48);
+    const std::uint8_t roots[4] = {1, 2, 4, 8};
+    for (const simd::Tier tier : {simd::Tier::Scalar, simd::activeTier()}) {
+        SCOPED_TRACE(simd::tierName(tier));
+        auto screen = [&](std::size_t stride, int lanes) {
+            gfsimd::syndromeSoaAt(tier, soa.data(), stride, 36, lanes,
+                                  roots, 4, synd.data(), flags.data());
+        };
+        screen(4, 4);
+        screen(32, 17);
+        EXPECT_DEATH(screen(20, 4), "assertion");
+        EXPECT_DEATH(screen(16, 17), "assertion");
+    }
+}
+
 TEST(Gf256Simd, SoaScatterGatherAreInverses)
 {
     Rng rng(0x50a);

@@ -14,7 +14,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <unistd.h>
 #include <utility>
 
@@ -501,20 +503,50 @@ TEST(BinaryTraceDeathTest, TornFinalRecordIsFatalAtEveryOffset)
     }
 }
 
+TEST(TraceStream, FileChangingMidReplayThrows)
+{
+    // A file cut under a running replay is an error of that replay,
+    // not of the process: next() throws, naming the file.
+    auto expectThrow = [](const std::string &path, std::uintmax_t keep,
+                          const char *what) {
+        std::string error;
+        const auto stream = TraceStream::open(path, error, 8);
+        ASSERT_TRUE(stream) << error;
+        std::filesystem::resize_file(path, keep);
+        try {
+            for (int i = 0; i < 64; ++i)
+                stream->next();
+            ADD_FAILURE() << "no error after 64 records of " << path;
+        } catch (const std::runtime_error &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find(what), std::string::npos) << msg;
+            EXPECT_NE(msg.find(path), std::string::npos) << msg;
+        }
+    };
+    TempFile bin(tempPath("shrink.bin"));
+    writeTrace(bin.path, syntheticAccesses(64, 17), /*binary=*/true);
+    expectThrow(bin.path, sizeof kTraceMagic + kTraceRecordBytes,
+                "shrank mid-replay");
+    TempFile text(tempPath("shrink.txt"));
+    writeTrace(text.path, syntheticAccesses(64, 17), /*binary=*/false);
+    expectThrow(text.path, 0, "changed mid-replay: it ended early");
+}
+
 TEST(TraceStreamDeathTest, FileShrinkingMidReplayIsFatal)
 {
+    // traceStreamSpec(path) keeps the command-line contract: the
+    // replay's error exits 1 with its message.
     TempFile bin(tempPath("shrink.bin"));
     writeTrace(bin.path, syntheticAccesses(64, 17), /*binary=*/true);
     EXPECT_EXIT(
         {
-            std::string error;
-            const auto stream = TraceStream::open(bin.path, error, 8);
+            const StreamSpec spec = traceStreamSpec(bin.path, 1.0, 8);
             std::filesystem::resize_file(
                 bin.path, sizeof kTraceMagic + kTraceRecordBytes);
             for (int i = 0; i < 64; ++i)
-                stream->next();
+                spec.next();
         },
-        ::testing::ExitedWithCode(1), "shrank");
+        ::testing::ExitedWithCode(1), "shrank mid-replay");
 }
 
 // --- StreamSpec factories ----------------------------------------------
@@ -638,6 +670,39 @@ TEST(TraceStream, ShortTraceLapsSurfaceInTheSimResult)
               cfg.instrsPerCore / trace_instrs);
     EXPECT_EQ(r.cores[1].traceLaps, 0u);
     EXPECT_GE(r.cores[0].instrs, cfg.instrsPerCore);
+}
+
+TEST(TraceStream, ThrowingStreamLeavesTheSimulatorWithItsException)
+{
+    // A stream whose next() throws mid-run (a trace cut under the
+    // replay) ends simulateStreams with that exception, which
+    // SimService answers as an error response.
+    struct StreamBroke : std::runtime_error
+    {
+        using std::runtime_error::runtime_error;
+    };
+    SystemConfig cfg;
+    cfg.mem = arccConfig();
+    cfg.instrsPerCore = 50'000;
+    cfg.seed = 29;
+    AddressMap map(cfg.mem, cfg.mapPolicy);
+    std::vector<StreamSpec> streams;
+    for (int i = 0; i < cfg.cores; ++i)
+        streams.push_back(syntheticStreamSpec("sjeng", map.capacity(), i,
+                                              cfg.seed + i));
+    auto calls = std::make_shared<int>(0);
+    streams[1].next = [next = streams[1].next, calls]() {
+        if (++*calls == 20)
+            throw StreamBroke("stream 1 broke at access 20");
+        return next();
+    };
+    try {
+        simulateStreams(std::move(streams), cfg, {});
+        ADD_FAILURE() << "simulateStreams returned";
+    } catch (const StreamBroke &e) {
+        EXPECT_STREQ(e.what(), "stream 1 broke at access 20");
+    }
+    EXPECT_EQ(*calls, 20);
 }
 
 } // namespace
